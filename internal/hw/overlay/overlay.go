@@ -448,7 +448,9 @@ func smallestDirty(dirty map[string]struct{}, budget int) []string {
 		return nil
 	}
 	// h is a max-heap: h[0] is the largest of the budget smallest so far.
-	h := make([]string, 0, budget)
+	// Its capacity is capped by the dirty set, so a pass over an idle table
+	// allocates nothing however large the batch budget.
+	h := make([]string, 0, min(budget, len(dirty)))
 	siftDown := func(i int) {
 		for {
 			l, r := 2*i+1, 2*i+2

@@ -250,3 +250,17 @@ func TestSmallestDirty(t *testing.T) {
 		}
 	}
 }
+
+// TestSmallestDirtyEmptyAllocatesNothing checks a merge pass over a table
+// with no dirty rows costs no allocation, even at a large batch budget.
+func TestSmallestDirtyEmptyAllocatesNothing(t *testing.T) {
+	dirty := map[string]struct{}{}
+	allocs := testing.AllocsPerRun(100, func() {
+		if keys := smallestDirty(dirty, 1<<16); len(keys) != 0 {
+			t.Fatalf("empty dirty set returned %d keys", len(keys))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("smallestDirty on an empty set allocated %v times per call", allocs)
+	}
+}

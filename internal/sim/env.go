@@ -51,17 +51,17 @@ type Env struct {
 // details — and unlike container/heap there is no interface boxing on push
 // or type assertion on pop, which keeps the steady-state event loop
 // allocation-free. All shard state except the inbox is touched only by the
-// shard's own baton chain (or the driver between windows).
+// shard's driver and the processes it resumes, one at a time (or by the
+// coordinator between windows).
 type shard struct {
 	env      *Env
 	id       int
 	now      Time
 	seq      uint64
 	events   []event // binary min-heap ordered by (at, seq)
-	cur      *Proc
-	parked   chan struct{}
-	horizon  Time   // active window bound; fast-path waits must not pass it
-	executed uint64 // events executed, including fast-path waits
+	cur      *Proc   // running process, or the one the driver resumes next
+	horizon  Time    // active window bound; fast-path waits must not pass it
+	executed uint64  // events executed, including fast-path waits
 
 	// Parallel-mode fields (see parallel.go).
 	start    chan struct{} // driver -> worker: run one window
@@ -90,7 +90,7 @@ type event struct {
 // NewEnv returns an empty single-shard environment with the clock at zero.
 func NewEnv() *Env {
 	e := &Env{}
-	e.shs = []*shard{{env: e, id: 0, parked: make(chan struct{})}}
+	e.shs = []*shard{{env: e, id: 0}}
 	return e
 }
 
@@ -122,10 +122,11 @@ func (e *Env) Executed() uint64 {
 	return n
 }
 
-// At schedules fn to run in the scheduler goroutine at time t (clamped to
-// the present) on shard 0. Callbacks must not block; they are for
-// lightweight bookkeeping such as statistics sampling. Consecutive due
-// callbacks run back-to-back in the scheduler with no goroutine handoff.
+// At schedules fn to run at time t (clamped to the present) on shard 0, in
+// whichever goroutine dispatches it: the shard's driver or a parking
+// process. Callbacks must not block; they are for lightweight bookkeeping
+// such as statistics sampling. Consecutive due callbacks run back-to-back
+// with no process switch.
 func (e *Env) At(t Time, fn func()) { e.AtOn(0, t, fn) }
 
 // AtOn schedules fn at time t on the given shard, clamped to that shard's
@@ -190,12 +191,17 @@ func (s *shard) pop() event {
 }
 
 // scheduleWake arranges for p to resume at time t on p's shard. Exactly one
-// wake may be outstanding per parked process; double wakes are a kernel bug.
-// t is clamped to the shard's present so a wake computed from a slightly
-// stale clock can never drag the shard backwards in time.
+// wake may be outstanding per parked process; double wakes are a kernel
+// bug, and so is waking a process that has returned (its ended coroutine
+// could never take the shard's control back). t is clamped to the shard's
+// present so a wake computed from a slightly stale clock can never drag the
+// shard backwards in time.
 func (e *Env) scheduleWake(p *Proc, t Time) {
 	if p.waking {
 		panic(fmt.Sprintf("sim: double wake of process %q", p.name))
+	}
+	if p.done.Load() {
+		panic(fmt.Sprintf("sim: wake of finished process %q", p.name))
 	}
 	p.waking = true
 	if t < p.sh.now {
@@ -231,16 +237,19 @@ func (e *Env) Run() error { return e.RunUntil(Time(1<<63 - 1)) }
 // RunUntil executes events with timestamps not after horizon. The clock
 // stops at the last executed event (it does not jump to the horizon).
 //
-// Control is baton-passed: the driver dispatches the first event, and from
-// then on each parking (or finishing) process pops the next event and wakes
-// its target directly. A classic central scheduler costs two goroutine
-// handoffs per event (process -> scheduler -> next process); the baton
-// costs one, and the event order — hence every simulated result — is
-// byte-for-byte the same.
+// Every process is a coroutine (coro.go) and the calling goroutine is the
+// shard's driver: it resumes one process at a time with a direct coroutine
+// switch, which runs the process on the driver's OS thread without the Go
+// scheduler's run queue or a futex wakeup. A parking process dispatches
+// the next events itself — callbacks inline, its own wake by simply
+// continuing — and switches back to the driver only when the next event
+// names another process (left in the shard's cur for the driver to
+// resume) or nothing is runnable. The event order, hence every simulated
+// result, does not depend on which goroutine pops the events.
 //
 // On a parallel environment RunUntil runs the conservative window protocol
-// (parallel.go) instead; within each shard the baton discipline and event
-// order are identical to the serial kernel.
+// (parallel.go) instead; within each shard the dispatch discipline and
+// event order are identical to the serial kernel.
 func (e *Env) RunUntil(horizon Time) error {
 	if e.closed {
 		return fmt.Errorf("sim: environment already closed")
@@ -250,9 +259,7 @@ func (e *Env) RunUntil(horizon Time) error {
 	}
 	s := e.shs[0]
 	s.horizon = horizon
-	if s.dispatch(nil) == batonHanded {
-		<-s.parked
-	}
+	s.run()
 	if err := e.firstErr(); err != nil {
 		e.closed = true
 		return err
@@ -260,27 +267,27 @@ func (e *Env) RunUntil(horizon Time) error {
 	return nil
 }
 
-// baton reports where dispatch left control.
-type baton int
+// run drives the shard until nothing is runnable within its horizon: it
+// dispatches the first ready events, then resumes whichever process the
+// last dispatch selected, until a dispatch selects none. It runs on the
+// serial driver, a window worker, or the coordinator for inline windows.
+func (s *shard) run() {
+	s.dispatch()
+	for s.cur != nil {
+		s.cur.resume()
+	}
+}
 
-const (
-	batonIdle   baton = iota // nothing runnable: the caller still holds the baton
-	batonHanded              // another process was woken; the caller must block
-	batonSelf                // the caller's own wake came up: keep running
-)
-
-// dispatch executes ready events until one hands the baton to a process or
-// nothing remains within the shard's horizon. self is the dispatching
-// process (nil for the driver or window worker); popping self's own wake
-// returns batonSelf so the caller continues without any channel handoff at
-// all. Callback events run inline in the dispatching goroutine — batched
-// back-to-back with no handoff.
-func (s *shard) dispatch(self *Proc) baton {
+// dispatch executes ready events until one wakes a process or nothing
+// remains within the shard's horizon, and leaves the woken process (or nil)
+// in s.cur. Callback events run inline in the dispatching goroutine —
+// batched back-to-back with no process switch.
+func (s *shard) dispatch() {
 	e := s.env
 	s.cur = nil
 	for {
 		if e.dead || e.failed.Load() || len(s.events) == 0 || s.events[0].at > s.horizon {
-			return batonIdle
+			return
 		}
 		ev := s.pop()
 		s.now = ev.at
@@ -292,30 +299,27 @@ func (s *shard) dispatch(self *Proc) baton {
 			ev.fn()
 			continue
 		}
-		p := ev.p
-		p.waking = false
-		s.cur = p
-		if p == self {
-			return batonSelf
-		}
-		p.wake <- struct{}{}
-		return batonHanded
+		ev.p.waking = false
+		s.cur = ev.p
+		return
 	}
 }
 
-// procKilled is the panic sentinel Close injects into parked processes so
-// their goroutines unwind and exit; Spawn's recovery treats it as a normal
+// procKilled is the panic sentinel a stopped process raises so its
+// coroutine unwinds and exits; the process's exit treats it as a normal
 // termination, not a process error.
 type procKilled struct{}
 
 // Close reaps every process still blocked in the environment — processes
-// left parked when RunUntil returned early on a panic, or blocked forever
-// on queues and resources no one will ever signal — on every shard, not
-// just shard 0. Each is woken once and unwound via a panic sentinel, so its
-// goroutine exits and Live drops to zero; on a parallel environment the
-// per-shard window workers are then shut down too. The environment is
-// unusable afterwards; Close is idempotent and must be called from the
-// driving goroutine, never from a process.
+// left parked when RunUntil returned early on a panic, blocked forever on
+// queues and resources no one will ever signal, or spawned and never
+// resumed — on every shard, not just shard 0. Each parked process is
+// stopped: its park returns by panicking with a sentinel, so its coroutine
+// unwinds and exits before Close moves on. A process that never started has
+// no body to unwind and is simply retired. Live then drops to zero; on a
+// parallel environment the per-shard window workers are shut down too. The
+// environment is unusable afterwards; Close is idempotent and must be
+// called from the driving goroutine, never from a process.
 func (e *Env) Close() {
 	if e.dead {
 		return
@@ -326,11 +330,10 @@ func (e *Env) Close() {
 		if p.done.Load() {
 			continue
 		}
-		p.wake <- struct{}{}
-		// The unwinding process dispatches on its own shard, finds the
-		// environment dead, and parks the baton there — which is the receipt
-		// that its goroutine has passed its last observable action.
-		<-p.sh.parked
+		p.stop()
+		if !p.done.Load() {
+			p.retire() // spawned but never resumed: its body never ran
+		}
 	}
 	e.procs = nil
 	for _, s := range e.shs {
@@ -346,8 +349,10 @@ func (e *Env) Close() {
 }
 
 // Spawn starts a new simulated process executing fn on shard 0. The process
-// begins at the current simulated time, after the caller parks or returns.
-// The name appears in diagnostics only.
+// is a coroutine on its own goroutine; it first runs at the current
+// simulated time, after the caller parks or returns, when the shard's
+// driver resumes it. The name appears in diagnostics only. A process that
+// calls runtime.Goexit (testing's FailNow) ends the driver's goroutine too.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc { return e.SpawnOn(0, name, fn) }
 
 // SpawnOn starts a new simulated process confined to the given shard. On a
@@ -358,7 +363,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc { return e.SpawnOn(0, n
 // driver, or onto the caller's own shard.
 func (e *Env) SpawnOn(shard int, name string, fn func(p *Proc)) *Proc {
 	s := e.shs[shard]
-	p := &Proc{env: e, sh: s, name: name, wake: make(chan struct{})}
+	p := &Proc{env: e, sh: s, name: name}
 	e.spawnMu.Lock()
 	e.live++
 	// procs exists so Close can reap; drop finished entries once they
@@ -377,29 +382,34 @@ func (e *Env) SpawnOn(shard int, name string, fn func(p *Proc)) *Proc {
 	}
 	e.procs = append(e.procs, p)
 	e.spawnMu.Unlock()
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, killed := r.(procKilled); !killed {
-					e.setErr(fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
-				}
-			}
-			p.done.Store(true)
-			e.spawnMu.Lock()
-			e.live--
-			e.spawnMu.Unlock()
-			if s.dispatch(nil) == batonIdle {
-				s.parked <- struct{}{}
-			}
-		}()
-		<-p.wake
-		if e.dead {
-			panic(procKilled{})
-		}
+	p.start(func() {
+		defer p.exit()
 		fn(p)
-	}()
+	})
 	e.scheduleWake(p, s.now)
 	return p
+}
+
+// exit runs, deferred, when p's body returns or unwinds: it records a panic
+// as the run's error (the Close sentinel is a normal termination), retires
+// p, and dispatches the next events so the driver resumes their process.
+func (p *Proc) exit() {
+	if r := recover(); r != nil {
+		if _, killed := r.(procKilled); !killed {
+			p.env.setErr(fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
+		}
+	}
+	p.retire()
+	p.sh.dispatch()
+}
+
+// retire marks p finished and drops it from the live count.
+func (p *Proc) retire() {
+	p.done.Store(true)
+	e := p.env
+	e.spawnMu.Lock()
+	e.live--
+	e.spawnMu.Unlock()
 }
 
 // Live reports the number of spawned processes that have not finished.
@@ -409,15 +419,18 @@ func (e *Env) Live() int {
 	return e.live
 }
 
-// Proc is a simulated process: a goroutine that runs only when the scheduler
-// wakes it and must park (via Wait or a blocking kernel primitive) or return
-// to yield control. All Proc methods must be called from the process's own
-// goroutine. A process is confined to the shard it was spawned on.
+// Proc is a simulated process: a coroutine that runs only when its shard's
+// driver resumes it and must park (via Wait or a blocking kernel primitive)
+// or return to yield control. All Proc methods must be called from the
+// process's own goroutine. A process is confined to the shard it was
+// spawned on.
 type Proc struct {
 	env    *Env
 	sh     *shard
 	name   string
-	wake   chan struct{}
+	resume func() (struct{}, bool) // driver: switch into p until it yields or returns
+	stop   func()                  // Close: unwind p (or discard it if never started)
+	yield  func(struct{}) bool     // p: switch back to the driver; false once stopped
 	waking bool
 	done   atomic.Bool
 }
@@ -434,25 +447,22 @@ func (p *Proc) Shard() int { return p.sh.id }
 // Now returns the current simulated time on the process's shard.
 func (p *Proc) Now() Time { return p.sh.now }
 
-// park yields the baton and blocks until some event wakes p. The caller
-// must have arranged a wake (a timer event or registration on a
-// queue/resource/signal waiter list) before parking. The parking goroutine
-// dispatches the next event itself; the baton returns to the driver (or the
-// shard's window worker) only when nothing is runnable.
+// park blocks p until some event wakes it. The caller must have arranged a
+// wake (a timer event or registration on a queue/resource/signal waiter
+// list) before parking. The parking process dispatches the next events
+// itself: when its own wake comes up it just continues, with no switch at
+// all; otherwise it switches back to the shard's driver, which resumes the
+// process the dispatch selected (if any), and p continues when the driver
+// resumes it in turn. A park that Close stops unwinds p with procKilled.
 func (p *Proc) park() {
 	if p.env.dead {
 		panic(procKilled{})
 	}
-	switch p.sh.dispatch(p) {
-	case batonSelf:
-		// Our own wake was the next event: continue without blocking.
-	case batonHanded:
-		<-p.wake
-	case batonIdle:
-		p.sh.parked <- struct{}{}
-		<-p.wake
+	p.sh.dispatch()
+	if p.sh.cur == p {
+		return
 	}
-	if p.env.dead {
+	if !p.yield(struct{}{}) {
 		panic(procKilled{})
 	}
 }
@@ -489,7 +499,7 @@ func (p *Proc) Yield() { p.Wait(0) }
 
 // Suspend parks the process indefinitely. The caller must have registered
 // the process somewhere a later Resume will find it — Suspend/Resume is the
-// primitive behind worker pools that reuse one process (and its goroutine)
+// primitive behind worker pools that reuse one process (and its coroutine)
 // for many units of work instead of spawning per unit. A Resume costs
 // exactly what a Spawn's initial wake costs (one event at the current
 // time), so pooling changes allocation behavior, never the event schedule.

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"strings"
+	"testing"
+)
 
 // TestQueueAccountingWithPutFront pins the accounting contract across both
 // enqueue paths: Puts counts every enqueue, MaxLen tracks the high-water
@@ -100,31 +104,60 @@ func TestQueueRingWraparound(t *testing.T) {
 	}
 }
 
-// TestCloseReapsParkedProcesses is the goroutine-leak regression test: a
-// process panic ends the run while other processes are still parked on a
-// queue nobody will ever close; Env.Close must unwind and reap them all.
-func TestCloseReapsParkedProcesses(t *testing.T) {
-	env := NewEnv()
+// parkEveryWay spawns one process parked in each blocking primitive — a
+// Queue.Get nobody feeds, a Resource.Acquire behind a holder that never
+// releases, and a Suspend nobody resumes — and returns a counter of how
+// many of them have unwound through their deferred calls.
+func parkEveryWay(env *Env) *int {
+	unwound := new(int)
 	q := NewQueue[int](env, "q", 0)
-	for i := 0; i < 3; i++ {
-		env.Spawn("blocked", func(p *Proc) {
-			q.Get(p) // parks forever: no producer, never closed
-		})
-	}
-	env.Spawn("boom", func(p *Proc) {
+	res := NewResource(env, "r", 1)
+	env.Spawn("holder", func(p *Proc) { res.Acquire(p) })
+	env.Spawn("getter", func(p *Proc) {
+		defer func() { *unwound++ }()
+		q.Get(p)
+	})
+	env.Spawn("acquirer", func(p *Proc) {
+		defer func() { *unwound++ }()
 		p.Wait(Nanosecond)
+		res.Acquire(p)
+	})
+	env.Spawn("suspender", func(p *Proc) {
+		defer func() { *unwound++ }()
+		p.Suspend()
+	})
+	return unwound
+}
+
+// TestCloseReapsParkedProcesses is the goroutine-leak regression test: a
+// process panic ends the run while others are parked in every blocking
+// primitive and one, spawned at the same instant, never got to run.
+// RunUntil returns the panic; Env.Close must then unwind the parked ones
+// through their defers and retire the unstarted one, leaving no goroutine.
+func TestCloseReapsParkedProcesses(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	env := NewEnv()
+	unwound := parkEveryWay(env)
+	env.Spawn("boom", func(p *Proc) {
+		p.Wait(2 * Nanosecond)
+		p.Env().Spawn("late", func(p *Proc) {}) // would run after the panic
 		panic("kaboom")
 	})
-	if err := env.Run(); err == nil {
-		t.Fatal("expected the process panic as an error")
+	err := env.RunUntil(Time(Second))
+	if err == nil || !strings.Contains(err.Error(), "kaboom") {
+		t.Fatalf("RunUntil error = %v, want the process panic", err)
 	}
-	if env.Live() == 0 {
-		t.Fatal("expected parked processes to be live before Close")
+	if env.Live() != 4 {
+		t.Fatalf("Live = %d after the panic, want 3 parked + 1 unstarted", env.Live())
 	}
 	env.Close()
 	if env.Live() != 0 {
 		t.Fatalf("Close left %d processes parked", env.Live())
 	}
+	if *unwound != 3 {
+		t.Fatalf("%d of 3 parked processes unwound through their defers", *unwound)
+	}
+	checkNoGoroutineLeak(t, baseline)
 	env.Close() // idempotent
 	if err := env.RunUntil(Time(Second)); err == nil {
 		t.Fatal("closed environment must refuse to run")
@@ -132,26 +165,83 @@ func TestCloseReapsParkedProcesses(t *testing.T) {
 }
 
 // TestCloseReapsCleanRunLeftovers checks Close also reaps processes that a
-// clean (error-free) run left blocked on kernel primitives.
+// clean (error-free) run left parked in each blocking primitive, unwinding
+// them through their deferred calls.
 func TestCloseReapsCleanRunLeftovers(t *testing.T) {
 	env := NewEnv()
-	res := NewResource(env, "r", 1)
-	env.Spawn("holder", func(p *Proc) {
-		res.Acquire(p) // acquired and never released
-	})
-	env.Spawn("waiter", func(p *Proc) {
-		p.Wait(Nanosecond)
-		res.Acquire(p) // parks forever
-	})
+	unwound := parkEveryWay(env)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if env.Live() != 1 {
-		t.Fatalf("Live = %d, want 1 parked waiter", env.Live())
+	if env.Live() != 3 {
+		t.Fatalf("Live = %d, want 3 parked", env.Live())
 	}
 	env.Close()
 	if env.Live() != 0 {
 		t.Fatalf("Close left %d processes", env.Live())
+	}
+	if *unwound != 3 {
+		t.Fatalf("%d of 3 parked processes unwound through their defers", *unwound)
+	}
+}
+
+// TestCloseReapsNeverStartedProcesses checks Close retires processes that
+// were spawned but never resumed: their bodies never run, Live reaches zero
+// and their goroutines exit.
+func TestCloseReapsNeverStartedProcesses(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	env := NewEnv()
+	ran := false
+	for i := 0; i < 4; i++ {
+		env.Spawn("unstarted", func(p *Proc) { ran = true })
+	}
+	if env.Live() != 4 {
+		t.Fatalf("Live = %d, want 4 spawned", env.Live())
+	}
+	env.Close()
+	if env.Live() != 0 {
+		t.Fatalf("Close left %d processes", env.Live())
+	}
+	if ran {
+		t.Fatal("Close ran the body of a process that was never resumed")
+	}
+	checkNoGoroutineLeak(t, baseline)
+}
+
+// TestSerialCloseLeaksNoGoroutines is the serial kernel's counterpart of
+// TestCloseReapsAllShards: a run stopped at its horizon leaves processes
+// parked in primitives and in timer waits past the horizon, and after
+// Close every process goroutine is gone.
+func TestSerialCloseLeaksNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	env := NewEnv()
+	parkEveryWay(env)
+	for i := 0; i < 8; i++ {
+		env.Spawn("sleeper", func(p *Proc) { p.Wait(Duration(i+1) * Second) })
+	}
+	if err := env.RunUntil(Time(Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	if env.Live() != 11 {
+		t.Fatalf("Live = %d at the horizon, want 3 parked + 8 sleeping", env.Live())
+	}
+	env.Close()
+	checkNoGoroutineLeak(t, baseline)
+}
+
+// TestWakeOfFinishedProcessPanics checks resuming a process that has
+// already returned is reported as the run's error instead of being lost.
+func TestWakeOfFinishedProcessPanics(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	short := env.Spawn("short", func(p *Proc) {})
+	env.Spawn("waker", func(p *Proc) {
+		p.Wait(Nanosecond)
+		p.Env().Resume(short)
+	})
+	err := env.Run()
+	if err == nil || !strings.Contains(err.Error(), "finished process") {
+		t.Fatalf("Run error = %v, want a wake-of-finished-process panic", err)
 	}
 }
 
@@ -317,4 +407,36 @@ func BenchmarkKernelQueuePingPong(b *testing.B) {
 	if done != 2*b.N {
 		b.Fatalf("done = %d, want %d", done, 2*b.N)
 	}
+}
+
+// BenchmarkKernelHandoff measures the bare cost of switching between
+// processes: two processes bounce a token through a pair of queues, so
+// every event wakes the other process — no Wait fast path, no self-wake,
+// no callbacks. One op is one round trip (two process switches).
+func BenchmarkKernelHandoff(b *testing.B) {
+	b.ReportAllocs()
+	env := NewEnv()
+	ping := NewQueue[int](env, "ping", 0)
+	pong := NewQueue[int](env, "pong", 0)
+	env.Spawn("ponger", func(p *Proc) {
+		for {
+			v, ok := ping.Get(p)
+			if !ok {
+				return
+			}
+			pong.Put(p, v)
+		}
+	})
+	env.Spawn("pinger", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Put(p, i)
+			pong.Get(p)
+		}
+		ping.Close()
+	})
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(env.Executed())/float64(b.N), "events/op")
 }

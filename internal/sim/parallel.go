@@ -13,7 +13,7 @@ import (
 //
 //   - Every process and every primitive (Queue, Resource, Signal) is
 //     confined to exactly one shard. Within a shard, execution is the
-//     serial baton-passed kernel, bit for bit.
+//     serial coroutine-switched kernel, bit for bit.
 //   - The only cross-shard edge is Proc.CrossAt(target, t, fn), and t must
 //     be at least lookahead beyond the sender's clock. The lookahead is the
 //     modeled interconnect per-hop latency: no message can take effect on
@@ -39,8 +39,8 @@ import (
 // every simulated result, is identical at GOMAXPROCS=1 and GOMAXPROCS=N,
 // and identical to the serial kernel whenever the program's cross-shard
 // sends are themselves deterministic. A single-shard parallel environment
-// degenerates to one full-horizon window: the serial kernel with one extra
-// channel handoff per RunUntil, and byte-identical event order.
+// degenerates to one full-horizon window: the serial kernel with the window
+// bookkeeping added per RunUntil, and byte-identical event order.
 
 // crossEvent is one cross-shard arrival parked in a shard's inbox until the
 // next barrier. src/srcSeq make the merge order a total order independent
@@ -86,7 +86,7 @@ func (e *Env) Shape(shards int, lookahead Duration) {
 	e.parallel = true
 	e.lookahead = lookahead
 	for i := len(e.shs); i < shards; i++ {
-		e.shs = append(e.shs, &shard{env: e, id: i, parked: make(chan struct{})})
+		e.shs = append(e.shs, &shard{env: e, id: i})
 	}
 }
 
@@ -140,16 +140,14 @@ func (e *Env) Lookahead() Duration {
 	return e.lookahead
 }
 
-// windowWorker runs one shard's share of each window: the same baton
-// dispatch the serial driver performs, bounded by the shard horizon the
-// coordinator computed. It exits when Close closes the start channel.
+// windowWorker drives one shard's share of each window: the same run the
+// serial driver performs, bounded by the shard horizon the coordinator
+// computed, with the worker as the driver its processes switch back to. It
+// exits when Close closes the start channel.
 func (s *shard) windowWorker() {
-	e := s.env
 	for range s.start {
-		if s.dispatch(nil) == batonHanded {
-			<-s.parked
-		}
-		e.windowWG.Done()
+		s.run()
+		s.env.windowWG.Done()
 	}
 }
 
@@ -206,9 +204,7 @@ func (e *Env) runParallel(horizon Time) error {
 			s.horizon = lim
 			s.windows++
 			if !e.concurrent {
-				if s.dispatch(nil) == batonHanded {
-					<-s.parked
-				}
+				s.run()
 				continue
 			}
 			e.windowWG.Add(1)

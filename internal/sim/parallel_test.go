@@ -187,6 +187,13 @@ func TestCloseReapsAllShards(t *testing.T) {
 	if live := env.Live(); live != 0 {
 		t.Errorf("Close left %d processes live", live)
 	}
+	checkNoGoroutineLeak(t, baseline)
+}
+
+// checkNoGoroutineLeak waits (up to a few seconds, for goroutines still
+// unwinding) for the goroutine count to fall back to baseline.
+func checkNoGoroutineLeak(t *testing.T, baseline int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		runtime.Gosched()
