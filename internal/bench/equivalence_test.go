@@ -2,26 +2,50 @@ package bench
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
+	"bionicdb/internal/core"
+	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
 )
 
 // This file is the kernel equivalence matrix: every experiment family runs
-// on both event kernels and must produce bit-identical simulated results.
-// The parallel kernel is a host-execution strategy, never a model change —
-// these tests are the contract that keeps it that way.
+// on the serial kernel and on a shaped one (the window protocol, one shard
+// per socket) and must produce bit-identical simulated results. Shaping is
+// host-side structure, never a model change — these tests are the contract
+// that keeps it that way.
 
-// withKernel returns the points with the kernel selection overridden.
-func withKernel(points []Point, parallel bool) []Point {
+// shapedEngine wraps spec so each run shapes its environment into one
+// shard per socket right after the engine is built, as core.Run once did
+// for every multi-socket run on request. An engine that does not confine
+// itself keeps all its processes on shard 0, so its run exercises the
+// window driver, the barrier merge and the shaped clock without any
+// cross-shard traffic; engine-sharded DORA has already shaped itself
+// identically and is unaffected.
+func shapedEngine(spec EngineSpec) EngineSpec {
+	build := spec.Make
+	spec.Make = func(env *sim.Env, wl core.Workload) core.Engine {
+		eng := build(env, wl)
+		env.Shape(eng.Platform().KernelShards())
+		return eng
+	}
+	return spec
+}
+
+// withShape returns the points with every engine wrapped by shapedEngine.
+func withShape(points []Point) []Point {
 	out := make([]Point, len(points))
 	for i, p := range points {
-		p.KernelParallel = parallel
+		p.Engine = shapedEngine(p.Engine)
 		out[i] = p
 	}
 	return out
+}
+
+// shapedDORA is the recovery and failover specs' default engine, shaped.
+func shapedDORA(cfg *platform.Config, partitions, window int) EngineSpec {
+	return shapedEngine(DORAOn(cfg, partitions))
 }
 
 // mustRun executes points and fails the test on any per-point error.
@@ -36,40 +60,12 @@ func mustRun(t *testing.T, name string, points []Point, opt Options) []Result {
 	return results
 }
 
-// TestSpecsPropagateKernelParallel pins the flag plumbing: every spec type
-// that expands to points must carry its KernelParallel into each of them —
-// a silently dropped flag would run serial while claiming parallel (the
-// equivalence matrix below overrides points directly, so it alone would
-// not catch that).
-func TestSpecsPropagateKernelParallel(t *testing.T) {
-	grid := goldenGrid()
-	grid.KernelParallel = true
-	scaling := goldenScalingSpec()
-	scaling.KernelParallel = true
-	htap := goldenHTAPSpec()
-	htap.KernelParallel = true
-	for name, points := range map[string][]Point{
-		"grid":    grid.Points(),
-		"scaling": scaling.Points(),
-		"htap":    htap.Points(),
-	} {
-		if len(points) == 0 {
-			t.Fatalf("%s: no points", name)
-		}
-		for _, p := range points {
-			if !p.KernelParallel {
-				t.Errorf("%s: point %s/%s dropped KernelParallel", name, p.Workload.Name, p.Engine.Name)
-			}
-		}
-	}
-}
-
-// TestKernelEquivalenceMatrix asserts serial kernel == parallel kernel for
+// TestKernelEquivalenceMatrix asserts serial kernel == shaped kernel for
 // the sweep families (fig3/fig4 quick grid, weak scaling, HTAP) at 1, 2 and
-// 4 sockets. Where a family is one of the pinned golden specs, the parallel
+// 4 sockets. Where a family is one of the pinned golden specs, the shaped
 // digest is compared against the recorded golden constant directly — the
 // serial half of that equality is already pinned by golden_test.go — so the
-// goldens are proven bit-identical under -kernel-parallel, not merely
+// goldens are proven bit-identical on shaped environments, not merely
 // self-consistent.
 func TestKernelEquivalenceMatrix(t *testing.T) {
 	scaling124 := goldenScalingSpec()
@@ -90,13 +86,13 @@ func TestKernelEquivalenceMatrix(t *testing.T) {
 		t.Run(fam.name, func(t *testing.T) {
 			want := fam.golden
 			if want == "" {
-				want = Digest(mustRun(t, fam.name+"/serial", withKernel(fam.points, false), Options{Parallel: 4}))
+				want = Digest(mustRun(t, fam.name+"/serial", fam.points, Options{Parallel: 4}))
 			}
-			par := mustRun(t, fam.name+"/parallel", withKernel(fam.points, true), Options{Parallel: 4})
-			if got := Digest(par); got != want {
-				t.Errorf("parallel kernel diverged from serial on %s:\n got  %s\n want %s", fam.name, got, want)
+			shaped := mustRun(t, fam.name+"/shaped", withShape(fam.points), Options{Parallel: 4})
+			if got := Digest(shaped); got != want {
+				t.Errorf("shaped kernel diverged from serial on %s:\n got  %s\n want %s", fam.name, got, want)
 			}
-			for _, r := range par {
+			for _, r := range shaped {
 				if r.Res.Events == 0 {
 					t.Errorf("%s: %s/%s reported no kernel events", fam.name, r.Point.Workload.Name, r.Point.Engine.Name)
 				}
@@ -105,28 +101,9 @@ func TestKernelEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestKernelParallelGOMAXPROCSInvariance asserts the other determinism leg:
-// the parallel kernel at GOMAXPROCS=1 and at GOMAXPROCS=N produce the same
-// digest on the multi-socket golden spec — simulated results never depend
-// on how many OS threads the host grants.
-func TestKernelParallelGOMAXPROCSInvariance(t *testing.T) {
-	points := withKernel(goldenScalingSpec().Points(), true)
-	prev := runtime.GOMAXPROCS(1)
-	one := Digest(mustRun(t, "gomaxprocs1", points, Options{Parallel: 1}))
-	runtime.GOMAXPROCS(8)
-	many := Digest(mustRun(t, "gomaxprocs8", points, Options{Parallel: 1}))
-	runtime.GOMAXPROCS(prev)
-	if one != many {
-		t.Errorf("parallel kernel digest depends on GOMAXPROCS:\n 1: %s\n N: %s", one, many)
-	}
-	if one != goldenScalingDigest {
-		t.Errorf("parallel kernel at GOMAXPROCS=1 diverged from golden:\n got  %s\n want %s", one, goldenScalingDigest)
-	}
-}
-
-// TestKernelEquivalenceRecovery asserts serial kernel == parallel kernel
-// for the crash/recovery family at 1, 2 and 4 sockets: the crash image,
-// the replayed content, the recovery timings and the energy must all be
+// TestKernelEquivalenceRecovery asserts serial kernel == shaped kernel for
+// the crash/recovery family at 1, 2 and 4 sockets: the crash image, the
+// replayed content, the recovery timings and the energy must all be
 // bit-identical.
 func TestKernelEquivalenceRecovery(t *testing.T) {
 	spec := RecoverySpec{
@@ -139,21 +116,21 @@ func TestKernelEquivalenceRecovery(t *testing.T) {
 		Measure:            3 * sim.Millisecond,
 	}
 	serial := spec.RunRecovery(Options{Parallel: 2})
-	spec.KernelParallel = true
-	par := spec.RunRecovery(Options{Parallel: 2})
+	spec.Engine = shapedDORA
+	shaped := spec.RunRecovery(Options{Parallel: 2})
 	for i := range serial {
-		if serial[i].Err != nil || par[i].Err != nil {
-			t.Fatalf("x%d: serial err %v, parallel err %v", serial[i].Sockets, serial[i].Err, par[i].Err)
+		if serial[i].Err != nil || shaped[i].Err != nil {
+			t.Fatalf("x%d: serial err %v, shaped err %v", serial[i].Sockets, serial[i].Err, shaped[i].Err)
 		}
 	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("recovery results diverge between kernels:\nserial   %+v\nparallel %+v", serial, par)
+	if !reflect.DeepEqual(serial, shaped) {
+		t.Errorf("recovery results diverge between kernels:\nserial %+v\nshaped %+v", serial, shaped)
 	}
 }
 
-// TestKernelEquivalenceFailover asserts serial kernel == parallel kernel
-// for the replication/failover family: the fault plan, the kill instant,
-// the surviving replica image and the recovered content are all under the
+// TestKernelEquivalenceFailover asserts serial kernel == shaped kernel for
+// the replication/failover family: the fault plan, the kill instant, the
+// surviving replica image and the recovered content are all under the
 // comparison.
 func TestKernelEquivalenceFailover(t *testing.T) {
 	spec := FailoverSpec{
@@ -168,18 +145,18 @@ func TestKernelEquivalenceFailover(t *testing.T) {
 		Measure:            3 * sim.Millisecond,
 	}
 	serialFo, serialSteady := spec.RunFailover(Options{Parallel: 2})
-	spec.KernelParallel = true
-	parFo, parSteady := spec.RunFailover(Options{Parallel: 2})
+	spec.Engine = shapedDORA
+	shapedFo, shapedSteady := spec.RunFailover(Options{Parallel: 2})
 	for i := range serialFo {
-		if serialFo[i].Err != nil || parFo[i].Err != nil {
-			t.Fatalf("x%d/%v: serial err %v, parallel err %v",
-				serialFo[i].Sockets, serialFo[i].Mode, serialFo[i].Err, parFo[i].Err)
+		if serialFo[i].Err != nil || shapedFo[i].Err != nil {
+			t.Fatalf("x%d/%v: serial err %v, shaped err %v",
+				serialFo[i].Sockets, serialFo[i].Mode, serialFo[i].Err, shapedFo[i].Err)
 		}
 	}
-	if !reflect.DeepEqual(serialFo, parFo) {
-		t.Errorf("failover results diverge between kernels:\nserial   %+v\nparallel %+v", serialFo, parFo)
+	if !reflect.DeepEqual(serialFo, shapedFo) {
+		t.Errorf("failover results diverge between kernels:\nserial %+v\nshaped %+v", serialFo, shapedFo)
 	}
-	if ds, dp := Digest(serialSteady), Digest(parSteady); ds != dp {
-		t.Errorf("steady-state digests diverge between kernels: serial %s vs parallel %s", ds, dp)
+	if ds, dp := Digest(serialSteady), Digest(shapedSteady); ds != dp {
+		t.Errorf("steady-state digests diverge between kernels: serial %s vs shaped %s", ds, dp)
 	}
 }

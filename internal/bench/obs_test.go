@@ -2,7 +2,6 @@ package bench
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"bionicdb/internal/obs"
@@ -12,8 +11,8 @@ import (
 
 // This file is the observability equivalence matrix: the flight recorder
 // (span tracing + time-series telemetry) is strictly out-of-band, so every
-// pinned golden digest must be bit-identical with it on or off, on both
-// event kernels, at any GOMAXPROCS. A recorder that consumed simulated
+// pinned golden digest must be bit-identical with it on or off, on serial
+// and shaped kernels alike. A recorder that consumed simulated
 // time, energy, or a random draw would shift a digest and fail here.
 
 // fullObs returns the everything-on recorder options the matrix runs under.
@@ -78,7 +77,8 @@ func TestSpecsPropagateObs(t *testing.T) {
 // TestObsEquivalenceMatrix asserts every pinned golden digest — the quick
 // grid, the multi-socket scaling sweep, the hybrid sweep and the
 // engine-on-shard sweep — is reproduced bit for bit with tracing and
-// telemetry enabled, on both the serial and the parallel kernel. The
+// telemetry enabled, on both the serial and a shaped kernel (see
+// shapedEngine). The
 // recorder artifacts must also be non-empty, so a silently detached
 // recorder cannot pass as zero perturbation.
 func TestObsEquivalenceMatrix(t *testing.T) {
@@ -97,10 +97,10 @@ func TestObsEquivalenceMatrix(t *testing.T) {
 		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
 			for _, kernel := range []struct {
-				name     string
-				parallel bool
-			}{{"serial", false}, {"parallel", true}} {
-				points := withObs(withKernel(fam.points, kernel.parallel), fullObs())
+				name   string
+				points []Point
+			}{{"serial", fam.points}, {"shaped", withShape(fam.points)}} {
+				points := withObs(kernel.points, fullObs())
 				results := mustRun(t, fam.name+"/"+kernel.name, points, Options{Parallel: 4})
 				if got := Digest(results); got != fam.golden {
 					t.Errorf("%s kernel with recorder on diverged from golden:\n got  %s\n want %s",
@@ -118,26 +118,6 @@ func TestObsEquivalenceMatrix(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestObsGOMAXPROCSInvariance asserts the recorder changes nothing under
-// host-parallelism changes either: the parallel kernel with tracing and
-// telemetry on produces the golden scaling digest at GOMAXPROCS=1 and
-// GOMAXPROCS=8 alike.
-func TestObsGOMAXPROCSInvariance(t *testing.T) {
-	points := withObs(withKernel(goldenScalingSpec().Points(), true), fullObs())
-	prev := runtime.GOMAXPROCS(1)
-	one := Digest(mustRun(t, "obs-gomaxprocs1", points, Options{Parallel: 1}))
-	runtime.GOMAXPROCS(8)
-	many := Digest(mustRun(t, "obs-gomaxprocs8", points, Options{Parallel: 1}))
-	runtime.GOMAXPROCS(prev)
-	if one != many {
-		t.Errorf("recorder digest depends on GOMAXPROCS:\n 1: %s\n N: %s", one, many)
-	}
-	if one != goldenScalingDigest {
-		t.Errorf("parallel kernel with recorder on diverged from golden:\n got  %s\n want %s",
-			one, goldenScalingDigest)
 	}
 }
 

@@ -32,10 +32,6 @@ type RecoverySpec struct {
 	// ShardedLog gives the machine per-socket log devices (default in
 	// RunRecovery callers; false measures the centralized baseline).
 	ShardedLog bool
-	// KernelParallel runs the crash phase and both recovery boots on the
-	// parallel event kernel (see core.RunConfig.KernelParallel); results
-	// stay bit-identical.
-	KernelParallel bool
 
 	// TerminalsPerSocket is the offered load (default 32).
 	TerminalsPerSocket int
@@ -128,7 +124,7 @@ func (s RecoverySpec) RunRecovery(opt Options) []RecoveryResult {
 		}
 		wl := s.Workload(n)
 		spec := engine(cfg, pps*n, window)
-		out[i] = runRecoveryPoint(cfg, spec, wl, tps*n, seed, warmup, measure, s.KernelParallel)
+		out[i] = runRecoveryPoint(cfg, spec, wl, tps*n, seed, warmup, measure)
 		out[i].Sockets = n
 		out[i].ShardedLog = cfg.ShardedLog()
 		if opt.OnResult != nil {
@@ -141,7 +137,7 @@ func (s RecoverySpec) RunRecovery(opt Options) []RecoveryResult {
 }
 
 // runRecoveryPoint is one crash + two recovery boots.
-func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec, terminals int, seed uint64, warmup, measure sim.Duration, kernelParallel bool) RecoveryResult {
+func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec, terminals int, seed uint64, warmup, measure sim.Duration) RecoveryResult {
 	res := RecoveryResult{Engine: spec.Name, Workload: wlSpec.Name}
 
 	// --- Crash phase: populate, checkpoint sharp, run the window, stop cold.
@@ -149,7 +145,6 @@ func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 	defer env.Close()
 	wl := wlSpec.Make()
 	eng := spec.Make(env, wl)
-	enableParallelKernel(env, eng.Platform(), kernelParallel)
 	ck, ok := eng.(checkpointable)
 	if !ok {
 		res.Err = fmt.Errorf("engine %s is not checkpointable", spec.Name)
@@ -241,7 +236,6 @@ func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 		env2 := sim.NewEnv()
 		defer env2.Close()
 		pl2 := platform.New(env2, cfg)
-		enableParallelKernel(env2, pl2, kernelParallel)
 		dm2 := ck.DiskManager().Rebind(pl2.Disk)
 		var st core.RecoveryStats
 		var recovered []map[uint16]*btree.Tree
@@ -283,18 +277,6 @@ func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 		}
 	}
 	return res
-}
-
-// enableParallelKernel switches a raw driver environment onto the parallel
-// event kernel when requested and the machine has a parallel shape — the
-// same selection core.Run performs for harness-driven runs.
-func enableParallelKernel(env *sim.Env, pl *platform.Platform, on bool) {
-	if !on {
-		return
-	}
-	if shards, la := pl.KernelShards(); shards > 1 && la > 0 {
-		env.EnableParallel(shards, la)
-	}
 }
 
 // RecoveryTable renders recovery results as the fig-recovery table. The

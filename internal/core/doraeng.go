@@ -38,8 +38,8 @@ type DORAEngine struct {
 
 	// Engine-on-shard state (engineSharded true): every engine-side
 	// structure a partition worker touches is replicated per socket and
-	// homed on that socket's kernel shard, so the parallel kernel can run
-	// the sockets concurrently. Socket-indexed throughout.
+	// homed on that socket's kernel shard, so the sockets interact only
+	// through posted interconnect messages. Socket-indexed throughout.
 	engineSharded bool
 	nSock         int
 	treeSets      []map[uint16]*btree.Tree
@@ -112,8 +112,7 @@ func newDataOriented(env *sim.Env, cfg *platform.Config, tables []TableDef, sche
 	// multi-socket machine with a per-socket log and no replication homes
 	// each socket's partitions, trees, pool, locks and log shard on that
 	// socket's kernel shard. The gate is a pure function of the config, so
-	// it is active identically under serial and concurrent execution —
-	// which is what keeps serial and parallel digests bit-identical. Every
+	// a run's layout — and its digest — depends on nothing else. Every
 	// other configuration keeps the classic shard-0 layout untouched.
 	e.engineSharded = e.sharded && pl.NumSockets() > 1 && off == (Offloads{}) &&
 		window == 1 && !cfg.Replicated()
@@ -871,8 +870,7 @@ func (t *doraTx) Phase(actions ...Action) bool {
 	}
 	// Fold the partition-side stamps into the transaction's anatomy. The
 	// actions are all complete (the RVP fired through the kernel's
-	// cross-shard handoff), so reading their stamps here is ordered even on
-	// the concurrent kernel.
+	// cross-shard handoff), so their stamps are final when read here.
 	for _, da := range das {
 		t.term.Ph[stats.PhaseQueue] += da.QueueWait
 		t.term.Ph[stats.PhaseLock] += da.LockWait

@@ -39,13 +39,6 @@ type RunConfig struct {
 	Drain sim.Duration
 	// Seed drives population and the transaction mix.
 	Seed uint64
-	// KernelParallel runs the simulation on the parallel event kernel: one
-	// shard per simulated socket, synchronized under the interconnect hop
-	// latency as conservative lookahead. Results are bit-identical to the
-	// serial kernel (the equivalence matrix in internal/bench enforces it);
-	// the flag changes host execution only. Single-socket machines have one
-	// shard and stay serial regardless.
-	KernelParallel bool
 	// Analytics, when non-nil, attaches an analytical subsystem to the run
 	// (the HTAP mixed workloads). Nil leaves the run bit-identical to the
 	// pre-HTAP harness.
@@ -95,8 +88,8 @@ type Result struct {
 
 	// Events is the kernel event count for the whole run (populate through
 	// drain) — the numerator for host events/sec reporting. It is simulated
-	// state, identical on the serial and parallel kernels, and deliberately
-	// not part of the sweep digest.
+	// state, a pure function of the seed, and deliberately not part of the
+	// sweep digest.
 	Events uint64
 
 	// EventsByShard is the per-kernel-shard event count of an engine-sharded
@@ -111,10 +104,11 @@ type Result struct {
 	// collected; deliberately not part of the sweep digest.
 	Anatomy stats.Anatomy
 
-	// WindowsByShard and StallsByShard are the parallel kernel's
+	// WindowsByShard and StallsByShard are the window protocol's
 	// self-observability counters for the whole run: window rounds executed
-	// and barrier rounds sat out per shard. Nil on serial-kernel runs; not
-	// part of the sweep digest.
+	// and barrier rounds sat out per shard. Set whenever the engine shaped
+	// the environment (every engine-sharded run), nil otherwise; not part of
+	// the sweep digest.
 	WindowsByShard []uint64
 	StallsByShard  []uint64
 
@@ -204,17 +198,13 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 	defer env.Close()
 	eng := mk(env)
 	pl := eng.Platform()
-	if cfg.KernelParallel {
-		if shards, la := pl.KernelShards(); shards > 1 && la > 0 {
-			env.EnableParallel(shards, la)
-		}
-	}
 	// Engine-on-shard runs distribute engine and terminal processes over
-	// the kernel shards. Snapshots that read engine-wide state move from
-	// in-simulation At callbacks to host code at RunUntil barriers (where
-	// every shard has quiesced at the same horizon), and per-terminal
-	// recording replaces the shared histogram/count map; both are merged
-	// deterministically, so serial and concurrent execution agree.
+	// the kernel shards the engine shaped (platform.Platform.Confine).
+	// Snapshots that read engine-wide state move from in-simulation At
+	// callbacks to host code at RunUntil barriers (where every shard has
+	// quiesced at the same horizon), and per-terminal recording replaces
+	// the shared histogram/count map; both are merged in a fixed order, so
+	// the results do not depend on the order shard windows run in.
 	shardedRun := false
 	if es, ok := eng.(interface{ EngineSharded() bool }); ok {
 		shardedRun = es.EngineSharded()
@@ -224,8 +214,8 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 	}
 
 	// Flight recorder: spans into one ring per kernel shard, each written
-	// only by its own shard's goroutine. Attached before any event runs;
-	// strictly out of band (see RunConfig.Obs).
+	// only by code executing on its own shard. Attached before any event
+	// runs; strictly out of band (see RunConfig.Obs).
 	var rec *obs.Recorder
 	if cfg.Obs.TraceOn() {
 		rec = obs.NewRecorder(env.NumShards(), cfg.Obs.Cap())
@@ -474,7 +464,7 @@ func Run(cfg RunConfig, wl Workload, mk func(env *sim.Env) Engine) (*Result, err
 	}
 	windowedAn := endEngAn.Sub(&startEngAn)
 	res.Anatomy.Merge(&windowedAn)
-	if cfg.KernelParallel {
+	if env.Parallel() {
 		res.WindowsByShard = env.ShardWindows()
 		res.StallsByShard = env.ShardStalls()
 	}

@@ -290,8 +290,8 @@ func (pt *Partition) Socket() int { return pt.socket }
 // queue-wait, lock-wait and action-execution spans into its own kernel
 // shard's ring; cross-socket enqueues and votes additionally record
 // flow-edge markers into the sending and receiving shards' rings (each
-// ring is written only from its own shard's goroutine, so the recorder
-// stays race-free under the parallel kernel). Host-side only: attaching a
+// ring is written only from its own shard, so the recorder stays
+// confined). Host-side only: attaching a
 // recorder changes no simulated behavior. Call after Confine.
 func (pt *Partition) SetRecorder(rec *obs.Recorder) {
 	pt.recs = rec

@@ -9,11 +9,11 @@
 // imports only internal/sim, and only for its time types and the sampler
 // hook; it never touches a heap, queue or process.
 //
-// Determinism under the parallel kernel: spans are recorded into one ring
-// buffer per kernel shard, each written only by that shard's event-loop
-// goroutine, and merged at export time by (start time, shard, per-shard
-// sequence) — a total order that is a pure function of the simulation,
-// never of host scheduling, so traces are identical at GOMAXPROCS=1 and N.
+// Determinism on a sharded kernel: spans are recorded into one ring buffer
+// per kernel shard, each written only by code executing on that shard, and
+// merged at export time by (start time, shard, per-shard sequence) — a
+// total order that is a pure function of the simulation, never of the
+// order shard windows run in, so traces are identical at GOMAXPROCS=1 and N.
 // Telemetry samples live in one slice per socket with the same property.
 package obs
 

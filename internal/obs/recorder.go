@@ -4,8 +4,8 @@ import "sort"
 
 // ShardRec is one kernel shard's span ring. It is written only by code
 // executing on that shard (or by the driver between runs), so it needs no
-// locking; under the concurrent kernel each shard's event-loop goroutine
-// owns exactly one ShardRec. All methods are nil-safe: instrumented layers
+// locking and its span order follows the shard's own event stream. All
+// methods are nil-safe: instrumented layers
 // keep a possibly-nil *ShardRec and call Record unconditionally, so the
 // untraced hot path costs one nil check.
 type ShardRec struct {
@@ -113,8 +113,8 @@ func (rec *Recorder) Dropped() uint64 {
 // Merged returns every recorded span in the canonical total order
 // (start time, shard, per-shard sequence). The order is a pure function of
 // the simulation — per-shard sequences follow each shard's deterministic
-// event stream — so the merged trace is identical between the serial and
-// concurrent kernels and at any GOMAXPROCS.
+// event stream — so the merged trace is identical between serial and
+// shaped environments and at any GOMAXPROCS.
 func (rec *Recorder) Merged() []Span {
 	if rec == nil {
 		return nil

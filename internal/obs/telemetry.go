@@ -53,7 +53,7 @@ type Gauges struct {
 
 // Telemetry is the per-run time series: one sample slice per socket. Each
 // slice is appended to only by the kernel shard running that socket's
-// sampler, so the concurrent kernel writes race-free without locks.
+// sampler, so each slice follows one shard's event stream.
 type Telemetry struct {
 	Tick      sim.Duration
 	perSocket [][]Sample

@@ -178,11 +178,11 @@ func (pl *Platform) LogLink(socket int) *Device {
 // NumSockets returns the socket count of the built machine.
 func (pl *Platform) NumSockets() int { return len(pl.Sockets) }
 
-// KernelShards reports the machine's parallel event-kernel shape: one shard
+// KernelShards reports the machine's sharded event-kernel shape: one shard
 // per socket, with the interconnect per-hop latency as the conservative
 // lookahead — no cross-socket interaction can land sooner than one hop, so
 // a shard may safely run that far ahead of its neighbors. A single-socket
-// machine has no interconnect and no parallel shape: (1, 0).
+// machine has no interconnect and no sharded shape: (1, 0).
 func (pl *Platform) KernelShards() (shards int, lookahead sim.Duration) {
 	if pl.IC == nil {
 		return 1, 0
@@ -265,14 +265,15 @@ func (pl *Platform) dramLineTotal() int64 {
 }
 
 // Confine homes every per-socket platform structure on its socket's kernel
-// shard: it shapes the environment (sim.Env.Shape — windows still execute
-// inline until the run enables concurrency), rebinds each core's resource
-// and each socket's log device onto its shard, gives every socket its own
-// data disk (socket 0 keeps the Figure 2 SAS array) and puts the
-// interconnect ports on their owning shards. Engines that distribute
-// themselves over the kernel call this once at construction, before
-// spawning any confined process. Single-socket machines are a no-op.
-// Confine is idempotent.
+// shard: it shapes the environment into one shard per socket
+// (sim.Env.Shape, whose windows run inline on the driving goroutine),
+// rebinds each core's resource and each socket's log device onto its
+// shard, gives every socket its own data disk (socket 0 keeps the Figure 2
+// SAS array) and puts the interconnect ports on their owning shards.
+// Engines that distribute themselves over the kernel call this once at
+// construction, before spawning any confined process; it is the only way a
+// run gets a sharded kernel. Single-socket machines are a no-op. Confine
+// is idempotent.
 func (pl *Platform) Confine() {
 	if pl.confined {
 		return

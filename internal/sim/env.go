@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 )
 
 // Env is a discrete-event simulation environment: a virtual clock plus an
@@ -14,35 +12,29 @@ import (
 // seed.
 //
 // An Env must be created with NewEnv and driven from a single goroutine via
-// Run or RunUntil.
+// Run or RunUntil. Everything it runs — every shard, process and callback —
+// executes on that goroutine or on a process coroutine it has switched to,
+// one at a time, so the kernel needs no locks.
 //
 // The environment owns one or more shards, each a complete serial event
 // kernel: its own clock, sequence counter and heap. NewEnv creates exactly
 // one shard and everything runs on it — the serial kernel, unchanged.
-// EnableParallel (parallel.go) adds shards that execute concurrently on host
-// goroutines under a conservative-lookahead window protocol; processes and
-// primitives are confined to one shard each, and the only cross-shard edge
-// is Proc.CrossAt, which must respect the lookahead.
+// Shape (window.go) adds shards driven by a conservative-lookahead window
+// protocol; processes and primitives are confined to one shard each, and
+// the only cross-shard edge is Proc.CrossAt, which must respect the
+// lookahead.
 type Env struct {
 	shs []*shard
 
-	parallel   bool     // Shape ran: RunUntil uses the window protocol
-	concurrent bool     // windows run on per-shard host goroutines, not inline
-	workers    bool     // window workers have been spawned (first SetConcurrent(true))
-	lookahead  Duration // minimum cross-shard scheduling distance (parallel only)
+	shaped    bool     // Shape ran: RunUntil uses the window protocol
+	lookahead Duration // minimum cross-shard scheduling distance (shaped only)
 
-	spawnMu sync.Mutex // guards procs and live (proc exits race across shards)
-	procs   []*Proc
-	live    int // processes that have been spawned and not yet finished
-
-	errMu  sync.Mutex  // guards err (process panics race across shards)
-	err    error       // first process panic, adorned with a stack trace
-	failed atomic.Bool // mirrors err != nil for lock-free dispatch checks
+	procs []*Proc
+	live  int   // processes that have been spawned and not yet finished
+	err   error // first process panic, adorned with a stack trace
 
 	closed bool
 	dead   bool // Close ran: parked processes are being (or have been) reaped
-
-	windowWG sync.WaitGroup // tracks in-flight shard windows (parallel only)
 }
 
 // shard is one serial event kernel: a clock, a sequence counter and a flat
@@ -50,9 +42,7 @@ type Env struct {
 // key is a total order, so the pop sequence is independent of heap layout
 // details — and unlike container/heap there is no interface boxing on push
 // or type assertion on pop, which keeps the steady-state event loop
-// allocation-free. All shard state except the inbox is touched only by the
-// shard's driver and the processes it resumes, one at a time (or by the
-// coordinator between windows).
+// allocation-free.
 type shard struct {
 	env      *Env
 	id       int
@@ -63,12 +53,10 @@ type shard struct {
 	horizon  Time    // active window bound; fast-path waits must not pass it
 	executed uint64  // events executed, including fast-path waits
 
-	// Parallel-mode fields (see parallel.go).
-	start    chan struct{} // driver -> worker: run one window
-	inboxMu  sync.Mutex
+	// Window-protocol fields (see window.go).
 	inbox    []crossEvent // cross-shard arrivals, merged at the next barrier
 	crossSeq uint64       // ticket counter for posts ORIGINATING on this shard
-	windows  uint64       // window rounds this shard ran (parallel only)
+	windows  uint64       // window rounds this shard ran (shaped only)
 	stalls   uint64       // barrier rounds this shard sat out on its bound
 
 	// Host-side sampler hook (see SetSampler). The hook fires whenever the
@@ -95,11 +83,11 @@ func NewEnv() *Env {
 }
 
 // Now returns the current simulated time: the shard clock on a serial
-// environment, and the maximum shard clock on a parallel one (the time the
+// environment, and the maximum shard clock on a shaped one (the time the
 // whole machine has provably reached when the driver observes it between
 // RunUntil calls).
 func (e *Env) Now() Time {
-	if !e.parallel {
+	if !e.shaped {
 		return e.shs[0].now
 	}
 	var m Time
@@ -123,7 +111,7 @@ func (e *Env) Executed() uint64 {
 }
 
 // At schedules fn to run at time t (clamped to the present) on shard 0, in
-// whichever goroutine dispatches it: the shard's driver or a parking
+// whichever coroutine dispatches it: the shard's driver or a parking
 // process. Callbacks must not block; they are for lightweight bookkeeping
 // such as statistics sampling. Consecutive due callbacks run back-to-back
 // with no process switch.
@@ -200,7 +188,7 @@ func (e *Env) scheduleWake(p *Proc, t Time) {
 	if p.waking {
 		panic(fmt.Sprintf("sim: double wake of process %q", p.name))
 	}
-	if p.done.Load() {
+	if p.done {
 		panic(fmt.Sprintf("sim: wake of finished process %q", p.name))
 	}
 	p.waking = true
@@ -208,23 +196,6 @@ func (e *Env) scheduleWake(p *Proc, t Time) {
 		t = p.sh.now
 	}
 	p.sh.push(event{at: t, p: p})
-}
-
-// setErr records the first process panic; later panics are dropped.
-func (e *Env) setErr(err error) {
-	e.errMu.Lock()
-	if e.err == nil {
-		e.err = err
-		e.failed.Store(true)
-	}
-	e.errMu.Unlock()
-}
-
-// firstErr returns the recorded process panic, if any.
-func (e *Env) firstErr() error {
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	return e.err
 }
 
 // Run executes events until none remain or a process panics. Processes left
@@ -247,22 +218,22 @@ func (e *Env) Run() error { return e.RunUntil(Time(1<<63 - 1)) }
 // resume) or nothing is runnable. The event order, hence every simulated
 // result, does not depend on which goroutine pops the events.
 //
-// On a parallel environment RunUntil runs the conservative window protocol
-// (parallel.go) instead; within each shard the dispatch discipline and
-// event order are identical to the serial kernel.
+// On a shaped environment RunUntil runs the conservative window protocol
+// (window.go) instead; within each shard the dispatch discipline and event
+// order are identical to the serial kernel.
 func (e *Env) RunUntil(horizon Time) error {
 	if e.closed {
 		return fmt.Errorf("sim: environment already closed")
 	}
-	if e.parallel {
-		return e.runParallel(horizon)
+	if e.shaped {
+		return e.runWindows(horizon)
 	}
 	s := e.shs[0]
 	s.horizon = horizon
 	s.run()
-	if err := e.firstErr(); err != nil {
+	if e.err != nil {
 		e.closed = true
-		return err
+		return e.err
 	}
 	return nil
 }
@@ -270,7 +241,8 @@ func (e *Env) RunUntil(horizon Time) error {
 // run drives the shard until nothing is runnable within its horizon: it
 // dispatches the first ready events, then resumes whichever process the
 // last dispatch selected, until a dispatch selects none. It runs on the
-// serial driver, a window worker, or the coordinator for inline windows.
+// driver, for the whole run on a serial environment and for one window at
+// a time on a shaped one.
 func (s *shard) run() {
 	s.dispatch()
 	for s.cur != nil {
@@ -286,7 +258,7 @@ func (s *shard) dispatch() {
 	e := s.env
 	s.cur = nil
 	for {
-		if e.dead || e.failed.Load() || len(s.events) == 0 || s.events[0].at > s.horizon {
+		if e.dead || e.err != nil || len(s.events) == 0 || s.events[0].at > s.horizon {
 			return
 		}
 		ev := s.pop()
@@ -316,8 +288,7 @@ type procKilled struct{}
 // resumed — on every shard, not just shard 0. Each parked process is
 // stopped: its park returns by panicking with a sentinel, so its coroutine
 // unwinds and exits before Close moves on. A process that never started has
-// no body to unwind and is simply retired. Live then drops to zero; on a
-// parallel environment the per-shard window workers are shut down too. The
+// no body to unwind and is simply retired. Live then drops to zero. The
 // environment is unusable afterwards; Close is idempotent and must be
 // called from the driving goroutine, never from a process.
 func (e *Env) Close() {
@@ -327,24 +298,17 @@ func (e *Env) Close() {
 	e.dead = true
 	e.closed = true
 	for _, p := range e.procs {
-		if p.done.Load() {
+		if p.done {
 			continue
 		}
 		p.stop()
-		if !p.done.Load() {
+		if !p.done {
 			p.retire() // spawned but never resumed: its body never ran
 		}
 	}
 	e.procs = nil
 	for _, s := range e.shs {
 		s.events = nil
-		if s.start != nil {
-			// Close the channel but leave the field set: the worker's own
-			// read of s.start (its range setup) has no ordering edge back to
-			// this goroutine if it never ran a window, so nilling the field
-			// here would race with it. e.dead already makes Close idempotent.
-			close(s.start) // window worker exits
-		}
 	}
 }
 
@@ -352,26 +316,27 @@ func (e *Env) Close() {
 // is a coroutine on its own goroutine; it first runs at the current
 // simulated time, after the caller parks or returns, when the shard's
 // driver resumes it. The name appears in diagnostics only. A process that
-// calls runtime.Goexit (testing's FailNow) ends the driver's goroutine too.
+// calls runtime.Goexit (testing's FailNow) ends the goroutine that drives
+// RunUntil too, on serial and shaped environments alike: every shard runs
+// on that goroutine, so there is no other goroutine left waiting on it.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc { return e.SpawnOn(0, name, fn) }
 
 // SpawnOn starts a new simulated process confined to the given shard. On a
-// parallel environment a process must only touch primitives bound to its
-// own shard (see Queue.OnShard, Resource.OnShard, Signal.OnShard) and talk
-// to other shards through Proc.CrossAt. Spawning onto a foreign shard while
-// that shard is running is a data race; spawn at setup time, from the
+// shaped environment a process must only touch primitives bound to its own
+// shard (see Queue.OnShard, Resource.OnShard, Signal.OnShard) and talk to
+// other shards through Proc.CrossAt. Spawning onto a foreign shard while
+// that shard is running breaks confinement; spawn at setup time, from the
 // driver, or onto the caller's own shard.
 func (e *Env) SpawnOn(shard int, name string, fn func(p *Proc)) *Proc {
 	s := e.shs[shard]
 	p := &Proc{env: e, sh: s, name: name}
-	e.spawnMu.Lock()
 	e.live++
 	// procs exists so Close can reap; drop finished entries once they
 	// dominate, so long runs with many short-lived processes stay O(live).
 	if len(e.procs) >= 64 && len(e.procs) >= 2*e.live {
 		kept := e.procs[:0]
 		for _, old := range e.procs {
-			if !old.done.Load() {
+			if !old.done {
 				kept = append(kept, old)
 			}
 		}
@@ -381,7 +346,6 @@ func (e *Env) SpawnOn(shard int, name string, fn func(p *Proc)) *Proc {
 		e.procs = kept
 	}
 	e.procs = append(e.procs, p)
-	e.spawnMu.Unlock()
 	p.start(func() {
 		defer p.exit()
 		fn(p)
@@ -390,13 +354,14 @@ func (e *Env) SpawnOn(shard int, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// exit runs, deferred, when p's body returns or unwinds: it records a panic
-// as the run's error (the Close sentinel is a normal termination), retires
-// p, and dispatches the next events so the driver resumes their process.
+// exit runs, deferred, when p's body returns or unwinds: it records the
+// first panic as the run's error (the Close sentinel is a normal
+// termination), retires p, and dispatches the next events so the driver
+// resumes their process.
 func (p *Proc) exit() {
 	if r := recover(); r != nil {
-		if _, killed := r.(procKilled); !killed {
-			p.env.setErr(fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
+		if _, killed := r.(procKilled); !killed && p.env.err == nil {
+			p.env.err = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 		}
 	}
 	p.retire()
@@ -405,19 +370,12 @@ func (p *Proc) exit() {
 
 // retire marks p finished and drops it from the live count.
 func (p *Proc) retire() {
-	p.done.Store(true)
-	e := p.env
-	e.spawnMu.Lock()
-	e.live--
-	e.spawnMu.Unlock()
+	p.done = true
+	p.env.live--
 }
 
 // Live reports the number of spawned processes that have not finished.
-func (e *Env) Live() int {
-	e.spawnMu.Lock()
-	defer e.spawnMu.Unlock()
-	return e.live
-}
+func (e *Env) Live() int { return e.live }
 
 // Proc is a simulated process: a coroutine that runs only when its shard's
 // driver resumes it and must park (via Wait or a blocking kernel primitive)
@@ -432,7 +390,7 @@ type Proc struct {
 	stop   func()                  // Close: unwind p (or discard it if never started)
 	yield  func(struct{}) bool     // p: switch back to the driver; false once stopped
 	waking bool
-	done   atomic.Bool
+	done   bool
 }
 
 // Name returns the diagnostic name given at Spawn.
@@ -507,12 +465,12 @@ func (p *Proc) Suspend() { p.park() }
 
 // Resume schedules suspended process p to continue at the current time on
 // p's shard. Resuming a process that is not suspended (or already has a
-// wake pending) panics. On a parallel environment Resume must come from p's
+// wake pending) panics. On a shaped environment Resume must come from p's
 // own shard (or a CrossAt callback delivered to it).
 func (e *Env) Resume(p *Proc) { e.scheduleWake(p, p.sh.now) }
 
-// SetSampler installs a host-side observation hook on a shard: fn runs, on
-// that shard's executing goroutine, the first time the shard clock reaches
+// SetSampler installs a host-side observation hook on a shard: fn runs,
+// wherever the shard is executing, the first time the shard clock reaches
 // each multiple of tick. The hook is out of band — it is invoked from the
 // clock-advance path rather than from a scheduled event, so installing it
 // pushes nothing onto the heap, allocates no sequence numbers and cannot
@@ -538,8 +496,8 @@ func (e *Env) SetSampler(shard int, tick Duration, fn func(now Time)) {
 // then advances the next boundary past the present — one sample per tick
 // while the shard is busy, a single catch-up sample (at the last crossed
 // boundary) after an idle jump. The cadence is a pure function of the
-// shard's event times, so it is identical on the serial and concurrent
-// kernels.
+// shard's event times, so it is identical on serial and shaped
+// environments.
 func (s *shard) fireObs() {
 	t := s.obsNext
 	tick := Time(s.obsTick)

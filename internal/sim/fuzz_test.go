@@ -30,7 +30,7 @@ func FuzzShardedKernel(f *testing.F) {
 		nShards := 2 + int(data[0])%3 // 2..4
 		env := NewEnv()
 		defer env.Close()
-		env.EnableParallel(nShards, la)
+		env.Shape(nShards, la)
 
 		queues := make([]*Queue[uint64], nShards)
 		model := make([][]uint64, nShards) // expected queue contents, per shard

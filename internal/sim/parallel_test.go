@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// The storm is the parallel kernel's reference program: nShards logical
+// The storm is the sharded kernel's reference program: nShards logical
 // shards, each with its own procs, resource, queue and pre-split random
 // stream, exchanging cross-shard callbacks through CrossAt. It is built so
 // no two shards ever produce events at the same timestamp (local events
@@ -100,13 +100,13 @@ func TestParallelStormMatchesSerial(t *testing.T) {
 		serialEnv.Close()
 
 		parEnv := NewEnv()
-		parEnv.EnableParallel(nShards, stormLookahead)
+		parEnv.Shape(nShards, stormLookahead)
 		if got := parEnv.NumShards(); got != nShards {
 			t.Fatalf("NumShards = %d, want %d", got, nShards)
 		}
 		par := runStorm(t, parEnv, nShards, 6, 40, func(i int) int { return i })
 		if par != serial {
-			t.Errorf("%d shards: parallel storm diverged from serial:\n got  %s\n want %s", nShards, par, serial)
+			t.Errorf("%d shards: shaped storm diverged from serial:\n got  %s\n want %s", nShards, par, serial)
 		}
 		if parEnv.Executed() == 0 {
 			t.Errorf("%d shards: no events executed", nShards)
@@ -121,13 +121,13 @@ func TestParallelStormMatchesSerial(t *testing.T) {
 }
 
 // TestParallelStormDeterministicAcrossGOMAXPROCS pins determinism against
-// host scheduling: the same sharded program produces the same digest
-// whether shard windows get one OS thread or many.
+// the host: the same sharded program produces the same digest whether the
+// process gets one OS thread or many.
 func TestParallelStormDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	run := func() string {
 		env := NewEnv()
 		defer env.Close()
-		env.EnableParallel(4, stormLookahead)
+		env.Shape(4, stormLookahead)
 		return runStorm(t, env, 4, 6, 60, func(i int) int { return i })
 	}
 	prev := runtime.GOMAXPROCS(1)
@@ -147,7 +147,7 @@ func TestParallelStormDeterministicAcrossGOMAXPROCS(t *testing.T) {
 func TestCrossAtEnforcesLookahead(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()
-	env.EnableParallel(2, stormLookahead)
+	env.Shape(2, stormLookahead)
 	env.SpawnOn(0, "violator", func(p *Proc) {
 		p.Wait(5 * stormQuantum)
 		p.CrossAt(1, p.Now().Add(stormLookahead-1), func() {})
@@ -161,13 +161,13 @@ func TestCrossAtEnforcesLookahead(t *testing.T) {
 
 // TestCloseReapsAllShards is the leak fix's regression test: processes left
 // blocked on primitives owned by shards other than shard 0 must still be
-// reaped by Close, and the per-shard window workers must exit with them —
-// the goroutine count returns to its pre-environment baseline.
+// reaped by Close — the goroutine count returns to its pre-environment
+// baseline.
 func TestCloseReapsAllShards(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	env := NewEnv()
 	const nShards = 4
-	env.EnableParallel(nShards, stormLookahead)
+	env.Shape(nShards, stormLookahead)
 	sigs := make([]*Signal, nShards)
 	for s := 0; s < nShards; s++ {
 		s := s
@@ -211,7 +211,7 @@ func TestSerialEnvRejectsShardAPIs(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()
 	if env.Parallel() {
-		t.Error("fresh env claims to be parallel")
+		t.Error("fresh env claims to be shaped")
 	}
 	if n := env.NumShards(); n != 1 {
 		t.Errorf("fresh env has %d shards", n)
@@ -230,11 +230,84 @@ func TestSerialEnvRejectsShardAPIs(t *testing.T) {
 	if !ran {
 		t.Error("CrossAt to own shard never ran")
 	}
-	// EnableParallel with <= 1 shard is a no-op, not an error.
+	// Shape with <= 1 shard is a no-op, not an error.
 	env2 := NewEnv()
 	defer env2.Close()
-	env2.EnableParallel(1, stormLookahead)
+	env2.Shape(1, stormLookahead)
 	if env2.Parallel() {
-		t.Error("EnableParallel(1) turned the env parallel")
+		t.Error("Shape(1) shaped the env")
+	}
+}
+
+// TestBarrierRoundsAllocateNothing pins the allocation-free barrier: once a
+// shaped storm is warm, rounds of windows and the inbox merges between them
+// allocate nothing — the merge sorts in place and every inbox keeps its
+// backing array.
+func TestBarrierRoundsAllocateNothing(t *testing.T) {
+	const nShards, nProcs = 4, 2
+	env := NewEnv()
+	defer env.Close()
+	env.Shape(nShards, stormLookahead)
+	noop := func() {}
+	for s := 0; s < nShards; s++ {
+		for k := 0; k < nProcs; k++ {
+			env.SpawnOn(s, "storm", func(p *Proc) {
+				for i := 0; ; i++ {
+					p.Wait(Duration(stormQuantum * (1 + (k+i)%5)))
+					if i%2 == 1 {
+						p.CrossAt((s+1)%nShards, p.Now().Add(stormLookahead+Duration(s*8+3)), noop)
+					}
+				}
+			})
+		}
+	}
+	var horizon Time
+	rounds := func() {
+		horizon += 20 * stormQuantum
+		if err := env.RunUntil(horizon); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		rounds() // warm: heaps and inboxes reach their steady capacity
+	}
+	before := env.ShardWindows()
+	if allocs := testing.AllocsPerRun(50, rounds); allocs != 0 {
+		t.Errorf("barrier rounds allocate: %.1f allocations per RunUntil, want 0", allocs)
+	}
+	for i, w := range env.ShardWindows() {
+		if w-before[i] < 50 {
+			t.Errorf("shard %d ran %d windows over the measured runs; the storm is not exercising barriers", i, w-before[i])
+		}
+	}
+}
+
+// TestGoexitInShapedWindowEndsDriver is the regression test for a hang: a
+// process that calls runtime.Goexit inside a window (t.FailNow in a test
+// helper does) must end the goroutine driving RunUntil, as Spawn documents,
+// rather than leave RunUntil waiting for the window forever.
+func TestGoexitInShapedWindowEndsDriver(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	env.EnableParallel(2, stormLookahead)
+	env.SpawnOn(0, "steady", func(p *Proc) { p.Wait(stormQuantum) })
+	env.SpawnOn(1, "quitter", func(p *Proc) {
+		p.Wait(stormQuantum)
+		runtime.Goexit()
+	})
+	ended := make(chan struct{})
+	returned := false
+	go func() {
+		defer close(ended)
+		env.Run()
+		returned = true
+	}()
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunUntil hung after a process called runtime.Goexit")
+	}
+	if returned {
+		t.Error("Run returned; the Goexit should have ended the driving goroutine")
 	}
 }

@@ -40,7 +40,7 @@ func NewQueue[T any](env *Env, name string, capacity int) *Queue[T] {
 	return &Queue[T]{env: env, sh: env.shs[0], name: name, capacity: capacity}
 }
 
-// OnShard rebinds the queue to the given shard and returns it. On a parallel
+// OnShard rebinds the queue to the given shard and returns it. On a shaped
 // environment every blocking use of a queue must come from a process on the
 // queue's shard; binding is a setup-time act.
 func (q *Queue[T]) OnShard(i int) *Queue[T] {
@@ -48,10 +48,10 @@ func (q *Queue[T]) OnShard(i int) *Queue[T] {
 	return q
 }
 
-// confine panics when a process on a parallel environment blocks on a queue
-// owned by another shard — that is a cross-shard data race, not a wait.
+// confine panics when a process on a shaped environment blocks on a queue
+// owned by another shard — that is a confinement breach, not a wait.
 func (q *Queue[T]) confine(p *Proc) {
-	if q.env.parallel && p.sh != q.sh {
+	if q.env.shaped && p.sh != q.sh {
 		panic("sim: process " + p.name + " blocks on queue " + q.name + " owned by another shard")
 	}
 }
@@ -205,7 +205,7 @@ type Signal struct {
 func NewSignal(env *Env) *Signal { return &Signal{env: env, sh: env.shs[0]} }
 
 // OnShard rebinds the signal to the given shard and returns it. On a
-// parallel environment Await and Fire must come from the signal's shard (a
+// shaped environment Await and Fire must come from the signal's shard (a
 // CrossAt callback delivered to that shard counts).
 func (s *Signal) OnShard(i int) *Signal {
 	s.sh = s.env.shs[i]
@@ -252,7 +252,7 @@ func (s *Signal) Value() any { return s.val }
 
 // Await blocks until the signal fires and returns its value.
 func (s *Signal) Await(p *Proc) any {
-	if s.env.parallel && p.sh != s.sh {
+	if s.env.shaped && p.sh != s.sh {
 		panic("sim: process " + p.name + " awaits a signal owned by another shard")
 	}
 	for !s.fired {

@@ -95,10 +95,10 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 func (r *Rand) Split() *Rand { return NewRand(r.Uint64()) }
 
 // SplitN returns n generators pre-split from this one in index order. On a
-// parallel environment each shard must own one pre-split stream, fixed at
+// shaped environment each shard must own one pre-split stream, fixed at
 // setup time: randomness consumption then stays confined per shard and
-// results remain a pure function of the seed regardless of how the host
-// interleaves shard windows.
+// results remain a pure function of the seed, whatever order the shard
+// windows run in.
 func (r *Rand) SplitN(n int) []*Rand {
 	out := make([]*Rand, n)
 	for i := range out {

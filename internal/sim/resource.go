@@ -28,7 +28,7 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 }
 
 // OnShard rebinds the resource to the given shard and returns it. On a
-// parallel environment every use of a resource must come from a process on
+// shaped environment every use of a resource must come from a process on
 // the resource's shard; binding is a setup-time act.
 func (r *Resource) OnShard(i int) *Resource {
 	r.sh = r.env.shs[i]
@@ -43,7 +43,7 @@ func (r *Resource) stamp() {
 
 // Acquire claims one slot, blocking in FIFO order while none is free.
 func (r *Resource) Acquire(p *Proc) {
-	if r.env.parallel && p.sh != r.sh {
+	if r.env.shaped && p.sh != r.sh {
 		panic("sim: process " + p.name + " acquires resource " + r.name + " owned by another shard")
 	}
 	r.acquires++

@@ -1,6 +1,6 @@
 // Package sim provides a deterministic, process-oriented discrete-event
 // simulation kernel. All engine and hardware-model code in bionicdb runs on
-// this kernel: simulated processes are goroutines that execute strictly one
+// this kernel: simulated processes are coroutines that execute strictly one
 // at a time under a virtual clock, so simulations are reproducible
 // bit-for-bit for a given seed and shared state needs no locking.
 //

@@ -54,7 +54,7 @@ func (dm *DiskManager) Allocate() PageID {
 // AllocatorOn returns a page-identity allocator private to one socket of an
 // nSockets-socket machine: socket s draws from the strided sequence
 // 1+s, 1+s+nSockets, 1+s+2*nSockets, ... so per-socket tree structures on
-// concurrent kernel shards never contend on (or race over) one counter, and
+// separate kernel shards never share a counter, and
 // no two sockets can allocate the same identity. Engines using AllocatorOn
 // must not mix in calls to Allocate on the same manager.
 func (dm *DiskManager) AllocatorOn(socket, nSockets int) func() PageID {

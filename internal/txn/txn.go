@@ -137,7 +137,7 @@ type Manager struct {
 	aborts  int64
 
 	// Per-socket mode (ShardPerSocket): id assignment and lifecycle
-	// counters stride by socket so terminals on concurrent kernel shards
+	// counters stride by socket so terminals on different kernel shards
 	// never touch a shared counter, and commit/abort records anchor on the
 	// caller's socket so every append stays shard-local.
 	nSock     int
