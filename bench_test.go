@@ -238,12 +238,12 @@ func BenchmarkC2Ablation(b *testing.B) {
 // through the internal/bench pool and reports the bionic headline numbers —
 // the workload-diversity experiment behind the sweep subsystem.
 func BenchmarkYCSBSweep(b *testing.B) {
-	grid := bench.Grid{
-		Engines: []bench.EngineSpec{
+	grid := bench.Spec{
+		Engines: bench.Fixed(
 			bench.Conventional(),
 			bench.DORA(8),
 			bench.Bionic(8, core.AllOffloads(), 8),
-		},
+		),
 		Workloads: []bench.WorkloadSpec{{Name: "ycsb", Make: func() core.Workload {
 			cfg := ycsb.WorkloadA()
 			cfg.Records = 20000
@@ -299,15 +299,15 @@ func BenchmarkC4LatencyShape(b *testing.B) {
 // speedup (fig-scaling's headline quantity; `bionicbench -fig-scaling`
 // prints the full 1 -> 16 socket table).
 func BenchmarkFigScaling(b *testing.B) {
-	spec := bench.ScalingSpec{
+	spec := bench.Spec{
 		Sockets: []int{1, 4},
 		Workloads: []bench.WorkloadSpec{
 			{Name: "tatp", Make: func() core.Workload { return benchTATP() }},
 		},
-		Engines:            bench.DefaultScalingEngines()[1:], // dora + bionic
-		TerminalsPerSocket: 16,
-		Warmup:             5 * sim.Millisecond,
-		Measure:            15 * sim.Millisecond,
+		Engines:   bench.DefaultScalingEngines()[1:], // dora + bionic
+		Terminals: []int{16},
+		Warmup:    5 * sim.Millisecond,
+		Measure:   15 * sim.Millisecond,
 	}
 	var results []bench.Result
 	for i := 0; i < b.N; i++ {

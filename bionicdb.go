@@ -212,9 +212,12 @@ var (
 
 // Experiment sweeps (the internal/bench subsystem).
 type (
-	// SweepGrid declares a sweep: the cross product of engines, workloads,
-	// terminal counts and seeds.
-	SweepGrid = bench.Grid
+	// SweepSpec declares an experiment: the cross product of workloads,
+	// socket counts, engines, terminal counts and seeds. An empty socket
+	// axis means one single-socket machine; a set one is weak scaling, with
+	// load and partitions growing with the machine. Its RunRecovery method
+	// runs the points as crash/recovery experiments instead.
+	SweepSpec = bench.Spec
 	// SweepPoint is one fully-specified measurement in a grid.
 	SweepPoint = bench.Point
 	// SweepResult pairs a point with its measurement and wall-clock cost.
@@ -261,36 +264,24 @@ func BionicSpecOn(cfg *PlatformConfig, partitions int, off Offloads, window int)
 	return bench.BionicOn(cfg, partitions, off, window)
 }
 
-// Multi-socket scaling sweeps (the fig-scaling experiment).
-type (
-	// ScalingSweep declares a weak-scaling sweep: the engine family on
-	// every workload at every socket count, with load and partitions
-	// scaling with the machine.
-	ScalingSweep = bench.ScalingSpec
-	// ScalingEngine builds one engine spec per scaled platform config.
-	ScalingEngine = bench.ScalingEngine
-)
+// ScalingEngine is one entry of a SweepSpec's engine axis, built per
+// machine.
+type ScalingEngine = bench.ScalingEngine
 
-// Crash-recovery sweeps (the fig-recovery experiment).
-type (
-	// RecoverySweep declares the crash/recovery experiment: run a workload
-	// on a (sharded-log) machine, crash it cold at the end of the window,
-	// and measure the time and joules to replay the log shards — serially
-	// and one process per shard — at each socket count.
-	RecoverySweep = bench.RecoverySpec
-	// RecoveryResult is one crash/recovery measurement.
-	RecoveryResult = bench.RecoveryResult
-)
+// FixedEngines lifts ready-built engine specs onto a SweepSpec's engine
+// axis (for specs with no socket axis).
+func FixedEngines(specs ...EngineSpec) []ScalingEngine { return bench.Fixed(specs...) }
+
+// RecoveryResult is one crash/recovery measurement: a run crashed cold at
+// the end of its window, then the time and joules to replay its log
+// shards, serially and one process per shard.
+type RecoveryResult = bench.RecoveryResult
 
 // RecoveryTable renders recovery results as the fig-recovery table.
 func RecoveryTable(results []RecoveryResult) *stats.Table { return bench.RecoveryTable(results) }
 
-// HTAP sweeps (the fig-htap experiment).
+// HTAP workloads (the fig-htap experiment: a SweepSpec with HTAP set).
 type (
-	// HTAPSweep declares the hybrid sweep: mixed transactional+analytical
-	// workloads on the conventional and bionic machines at every socket
-	// count, with the analytical half attached to each run.
-	HTAPSweep = bench.HTAPSpec
 	// HTAPWorkload is a hybrid workload: an OLTP mix plus analytical
 	// scans over columnar projections of the row store.
 	HTAPWorkload = htap.Mixed

@@ -29,17 +29,26 @@
 // are strictly out of band: simulated results and digests are bit-identical
 // with them on or off.
 //
-// Every measurement executes through the internal/bench sweep subsystem:
+// Every figure is a named preset over one internal/bench experiment spec:
 // runs fan out across -parallel workers (default GOMAXPROCS), each in its
 // own simulation environment, so parallel results are bit-identical to
 // serial ones. -quick shrinks scales for a fast smoke run; -csv emits CSV
 // instead of aligned tables; -json FILE additionally writes every
-// core.Run-backed measurement of the invocation as structured JSON.
-// -sockets N runs the figure/sweep experiments on an N-socket machine
-// (and caps the -fig-scaling axis at N); the default 1 is the paper's
+// core.Run-backed measurement of the invocation as structured JSON (the
+// -fig 3, -fig 4, -ablation, -sweep, -fig-scaling, -fig-htap, -fig-failover
+// and -fig-anatomy presets produce them).
+//
+// The machine flags reach the presets unevenly. -sockets N runs -fig 3,
+// -fig 4, -ablation and -sweep on an N-socket machine and caps (and
+// extends) the socket axis of -fig-scaling, -fig-htap, -fig-recovery,
+// -fig-failover and -fig-anatomy; the default 1 is the paper's
 // single-socket platform. -replication async|sync|quorum ships the log to
-// -replicas replica machines on every run-backed experiment, paying each
-// mode's commit-wait tax; the default off builds no replication machinery.
+// -replicas replica machines on -fig 3, -fig 4, -ablation and -sweep, and
+// narrows -fig-failover's mode axis to that mode against its unreplicated
+// baseline; -fig-scaling, -fig-htap, -fig-recovery and -fig-anatomy ignore
+// it. -sharded-log shards the log of -fig 3, -fig 4, -ablation, -sweep and
+// -fig-anatomy, and adds the sharded axis to -fig-scaling; -fig-htap,
+// -fig-recovery and -fig-failover always run sharded-log, whatever it says.
 package main
 
 import (
@@ -71,22 +80,24 @@ import (
 )
 
 var (
-	figFlag     = flag.Int("fig", 0, "regenerate figure 1..4")
-	ablation    = flag.Bool("ablation", false, "run the C2 offload ablation")
-	saturation  = flag.Bool("saturation", false, "run the C1 probe saturation sweep")
-	latencies   = flag.Bool("latencies", false, "print the Section 3 latency taxonomy")
-	sweepFlag   = flag.Bool("sweep", false, "run the engine x workload sweep grid")
-	figScaling  = flag.Bool("fig-scaling", false, "run the multi-socket scaling sweep (throughput + joules/txn vs sockets)")
-	figRecovery = flag.Bool("fig-recovery", false, "run the crash-recovery sweep (replay time + joules vs sockets)")
-	figHTAP     = flag.Bool("fig-htap", false, "run the HTAP sweep (txn throughput + scan bandwidth + freshness vs sockets, conventional vs bionic)")
-	figFailover = flag.Bool("fig-failover", false, "run the failover sweep (replication tax per mode, then a faulted primary kill and the replica's measured time-to-serving)")
-	figAnatomy  = flag.Bool("fig-anatomy", false, "run the latency-anatomy sweep (per-phase p50/p99 per engine and workload at 1/4/16 sockets)")
+	// The preset flags are read through the preset table (preset.selected).
+	_ = flag.Int("fig", 0, "regenerate figure 1..4")
+	_ = flag.Bool("ablation", false, "run the C2 offload ablation")
+	_ = flag.Bool("saturation", false, "run the C1 probe saturation sweep")
+	_ = flag.Bool("latencies", false, "print the Section 3 latency taxonomy")
+	_ = flag.Bool("sweep", false, "run the engine x workload sweep grid")
+	_ = flag.Bool("fig-scaling", false, "run the multi-socket scaling sweep (throughput + joules/txn vs sockets)")
+	_ = flag.Bool("fig-recovery", false, "run the crash-recovery sweep (replay time + joules vs sockets)")
+	_ = flag.Bool("fig-htap", false, "run the HTAP sweep (txn throughput + scan bandwidth + freshness vs sockets, conventional vs bionic)")
+	_ = flag.Bool("fig-failover", false, "run the failover sweep (replication tax per mode, then a faulted primary kill and the replica's measured time-to-serving)")
+	_ = flag.Bool("fig-anatomy", false, "run the latency-anatomy sweep (per-phase p50/p99 per engine and workload at 1/4/16 sockets)")
+
 	traceOut    = flag.String("trace-out", "", "write each run's span trace as Chrome trace_event JSON to this file (index-suffixed when the invocation runs multiple points)")
 	metricsOut  = flag.String("metrics-out", "", "write each run's telemetry time series to this file (.json = JSON, else CSV; index-suffixed when multiple points)")
-	shardedLog  = flag.Bool("sharded-log", false, "per-socket log shards: give every socket its own log stream and SSD (multi-socket only); -fig-scaling additionally runs the sharded axis next to the central baseline")
+	shardedLog  = flag.Bool("sharded-log", false, "per-socket log shards: give every socket its own log stream and SSD (multi-socket only) on -fig 3/-fig 4/-ablation/-sweep/-fig-anatomy; -fig-scaling additionally runs the sharded axis next to the central baseline; -fig-htap/-fig-recovery/-fig-failover always run sharded")
 	recJSON     = flag.String("recovery-json", "", "write -fig-recovery results as JSON to this file")
 	failJSON    = flag.String("failover-json", "", "write -fig-failover results as JSON to this file")
-	replication = flag.String("replication", "off", "log-shipping replication mode for the run-backed experiments: off|async|sync|quorum (-fig-failover sweeps all modes unless this narrows it)")
+	replication = flag.String("replication", "off", "log-shipping replication mode for -fig 3/-fig 4/-ablation/-sweep: off|async|sync|quorum (-fig-failover sweeps all modes unless this narrows it; the other presets ignore it)")
 	replicas    = flag.Int("replicas", 2, "replica machines when -replication is on")
 	all         = flag.Bool("all", false, "run every experiment")
 	quick       = flag.Bool("quick", false, "shrink scales for a fast run")
@@ -187,16 +198,14 @@ type engineShardedSection struct {
 // like kernelStats. Fixed windows, independent of -quick, so baselines
 // compare across invocations.
 func engineShardedStats() engineShardedSection {
-	spec := bench.ScalingSpec{
-		Sockets:   []int{8},
-		Workloads: []bench.WorkloadSpec{ycsbSpec()},
-		Engines: []bench.ScalingEngine{{Name: "dora", On: func(cfg *platform.Config, partitions, window int) bench.EngineSpec {
-			return bench.DORAOn(cfg, partitions)
-		}}},
-		TerminalsPerSocket: 8,
-		ShardedLog:         true,
-		Warmup:             5 * sim.Millisecond,
-		Measure:            15 * sim.Millisecond,
+	spec := bench.Spec{
+		Sockets:    []int{8},
+		Workloads:  []bench.WorkloadSpec{ycsbSpec()},
+		Engines:    doraAxis,
+		Terminals:  []int{8},
+		ShardedLog: true,
+		Warmup:     5 * sim.Millisecond,
+		Measure:    15 * sim.Millisecond,
 	}
 	run := func() float64 {
 		start := time.Now()
@@ -241,6 +250,42 @@ func writeBenchJSON(path string) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
+// preset is one experiment bionicbench regenerates: the flag that selects
+// it, as typed on the command line; its name in -benchjson; its run func;
+// and whether it produces core.Run-backed results for -json.
+type preset struct {
+	flag, name string
+	run        func()
+	json       bool
+}
+
+// presets is every experiment, in the order -all runs them.
+var presets = []preset{
+	{"-fig 1", "fig1", fig1, false},
+	{"-fig 2", "fig2", fig2, false},
+	{"-fig 3", "fig3", fig3, true},
+	{"-fig 4", "fig4", fig4, true},
+	{"-ablation", "ablation", runAblation, true},
+	{"-saturation", "saturation", runSaturation, false},
+	{"-latencies", "latencies", runLatencies, false},
+	{"-sweep", "sweep", runSweep, true},
+	{"-fig-scaling", "fig-scaling", runFigScaling, true},
+	{"-fig-recovery", "fig-recovery", runFigRecovery, false},
+	{"-fig-htap", "fig-htap", runFigHTAP, true},
+	{"-fig-failover", "fig-failover", runFigFailover, true},
+	{"-fig-anatomy", "fig-anatomy", runFigAnatomy, true},
+}
+
+// selected reports whether the command line selects the preset: its flag
+// holds the value the preset's flag string names (true for a bare flag).
+func (p preset) selected() bool {
+	name, value, ok := strings.Cut(p.flag[1:], " ")
+	if !ok {
+		value = "true"
+	}
+	return flag.Lookup(name).Value.String() == value
+}
+
 func main() {
 	flag.Parse()
 	if *cpuprofile != "" {
@@ -264,57 +309,11 @@ func main() {
 		*warmupMs = 5
 	}
 	ran := false
-	if *all || *figFlag == 1 {
-		timed("fig1", fig1)
-		ran = true
-	}
-	if *all || *figFlag == 2 {
-		timed("fig2", fig2)
-		ran = true
-	}
-	if *all || *figFlag == 3 {
-		timed("fig3", fig3)
-		ran = true
-	}
-	if *all || *figFlag == 4 {
-		timed("fig4", fig4)
-		ran = true
-	}
-	if *all || *ablation {
-		timed("ablation", runAblation)
-		ran = true
-	}
-	if *all || *saturation {
-		timed("saturation", runSaturation)
-		ran = true
-	}
-	if *all || *latencies {
-		timed("latencies", runLatencies)
-		ran = true
-	}
-	if *all || *sweepFlag {
-		timed("sweep", runSweep)
-		ran = true
-	}
-	if *all || *figScaling {
-		timed("fig-scaling", runFigScaling)
-		ran = true
-	}
-	if *all || *figRecovery {
-		timed("fig-recovery", runFigRecovery)
-		ran = true
-	}
-	if *all || *figHTAP {
-		timed("fig-htap", runFigHTAP)
-		ran = true
-	}
-	if *all || *figFailover {
-		timed("fig-failover", runFigFailover)
-		ran = true
-	}
-	if *all || *figAnatomy {
-		timed("fig-anatomy", runFigAnatomy)
-		ran = true
+	for _, p := range presets {
+		if *all || p.selected() {
+			timed(p.name, p.run)
+			ran = true
+		}
 	}
 	if !ran {
 		pprof.StopCPUProfile()
@@ -346,7 +345,14 @@ func main() {
 	}
 	if *jsonOut != "" {
 		if len(collected) == 0 {
-			fatal(fmt.Sprintf("-json %s: no results to write (the selected experiments run no measurements; use -fig 3, -fig 4, -ablation or -sweep)", *jsonOut))
+			var producers []string
+			for _, p := range presets {
+				if p.json {
+					producers = append(producers, p.flag)
+				}
+			}
+			fatal(fmt.Sprintf("-json %s: no results to write (the selected experiments run no measurements; use %s)",
+				*jsonOut, strings.Join(producers, ", ")))
 		}
 		if err := bench.WriteJSONFile(*jsonOut, collected); err != nil {
 			fatal(err)
@@ -420,17 +426,10 @@ func writeObsArtifacts(results []bench.Result) {
 	fmt.Fprintf(os.Stderr, "wrote observability artifacts for %d run(s)\n", len(results))
 }
 
-// runPoints executes points through the shared pool, records them for
-// -json, and fails fast on any run error. When -trace-out/-metrics-out are
-// given the flight recorder is attached to every point and its artifacts
-// written as the sweep completes.
-func runPoints(points []bench.Point) []bench.Result {
-	if o := obsOpts(); o != nil {
-		for i := range points {
-			points[i].Obs = o
-		}
-	}
-	results := bench.Run(points, bench.Options{Parallel: *parallel})
+// sink is the one path run-backed results leave a preset by: it fails fast
+// on any run error, records the results for -json and the kernel
+// events/sec line, and writes their flight-recorder artifacts.
+func sink(results []bench.Result) []bench.Result {
 	collected = append(collected, results...)
 	for _, r := range results {
 		if r.Err != nil {
@@ -443,9 +442,44 @@ func runPoints(points []bench.Point) []bench.Result {
 	return results
 }
 
+// runPoints executes points through the shared pool into the sink.
+func runPoints(points []bench.Point) []bench.Result {
+	return sink(bench.Run(points, bench.Options{Parallel: *parallel}))
+}
+
 func windows() (warmup, measure sim.Duration) {
 	return sim.Duration(*warmupMs) * sim.Millisecond, sim.Duration(*measureMs) * sim.Millisecond
 }
+
+// baseSpec is the skeleton every preset's experiment spec starts from: its
+// group, the seed, the measurement windows and the flight recorder.
+func baseSpec(group string) bench.Spec {
+	warmup, measure := windows()
+	return bench.Spec{Group: group, Seeds: []uint64{*seed}, Obs: obsOpts(), Warmup: warmup, Measure: measure}
+}
+
+// fixedSpec is a spec over ready-built engines on the -sockets machine:
+// no socket axis, so points stay unannotated apart from -replication.
+func fixedSpec(group string, engines ...bench.EngineSpec) bench.Spec {
+	s := baseSpec(group)
+	s.Engines = bench.Fixed(engines...)
+	s.Repl = replMode()
+	s.Terminals = []int{*terminals}
+	return s
+}
+
+// scaledSpec is one socket count of a weak-scaling preset: terminals grow
+// with the machine, and so do the workloads' own scales (see tpccScaled).
+func scaledSpec(group string, n int, workloads ...bench.WorkloadSpec) bench.Spec {
+	s := baseSpec(group)
+	s.Sockets = []int{n}
+	s.Workloads = workloads
+	s.Terminals = []int{perSocketTerminals()}
+	return s
+}
+
+// doraAxis is the engine axis of the DORA-only experiments.
+var doraAxis = bench.DefaultScalingEngines()[1:2]
 
 // Workload constructors shared by the figure generators and the sweep.
 
@@ -468,6 +502,15 @@ func tpccConfig() tpcc.Config {
 
 func tpccSpec() bench.WorkloadSpec {
 	cfg := tpccConfig()
+	return bench.WorkloadSpec{Name: "tpcc", Make: func() core.Workload { return tpcc.New(cfg) }}
+}
+
+// tpccScaled is TPC-C with its warehouses grown for an n-socket machine:
+// warehouses are TPC-C's unit of parallelism, and a fixed-size database
+// would measure contention collapse, not engine scaling.
+func tpccScaled(n int) bench.WorkloadSpec {
+	cfg := tpccConfig()
+	cfg.Warehouses *= n
 	return bench.WorkloadSpec{Name: "tpcc", Make: func() core.Workload { return tpcc.New(cfg) }}
 }
 
@@ -554,26 +597,18 @@ func fig2() {
 
 // fig3 prints the DORA software breakdown for the two Figure 3 workloads.
 func fig3() {
-	warmup, measure := windows()
 	n := *subscribers
 	tpccCfg := tpccConfig()
-	g := bench.Grid{
-		Group:   "fig3",
-		Repl:    replMode(),
-		Engines: []bench.EngineSpec{bench.DORAOn(plCfg(), partitionCount())},
-		Workloads: []bench.WorkloadSpec{
-			{Name: "tatp-updsubdata", Make: func() core.Workload {
-				return tatp.New(tatp.Config{Subscribers: n}).UpdateSubDataOnly()
-			}},
-			{Name: "tpcc-stocklevel", Make: func() core.Workload {
-				return tpcc.New(tpccCfg).StockLevelOnly()
-			}},
-		},
-		Terminals: []int{*terminals},
-		Seeds:     []uint64{*seed},
-		Warmup:    warmup, Measure: measure,
+	s := fixedSpec("fig3", bench.DORAOn(plCfg(), partitionCount()))
+	s.Workloads = []bench.WorkloadSpec{
+		{Name: "tatp-updsubdata", Make: func() core.Workload {
+			return tatp.New(tatp.Config{Subscribers: n}).UpdateSubDataOnly()
+		}},
+		{Name: "tpcc-stocklevel", Make: func() core.Workload {
+			return tpcc.New(tpccCfg).StockLevelOnly()
+		}},
 	}
-	results := runPoints(g.Points())
+	results := runPoints(s.Points())
 	t := stats.NewTable("component", ">TATP UpdSubData", ">TPCC StockLevel")
 	shares := make([][]float64, len(results))
 	for i, r := range results {
@@ -595,10 +630,9 @@ func fig3() {
 
 // fig4 compares the three engines on both workload mixes.
 func fig4() {
-	warmup, measure := windows()
 	// TPC-C concurrency scales with warehouses (the spec mandates 10
 	// terminals per warehouse; 2x that keeps pressure without district
-	// convoys), so each workload expands as its own grid.
+	// convoys), so each workload expands as its own spec.
 	var points []bench.Point
 	for _, wg := range []struct {
 		wl        bench.WorkloadSpec
@@ -607,16 +641,10 @@ func fig4() {
 		{tatpSpec(), *terminals},
 		{tpccSpec(), *warehouses * 20},
 	} {
-		g := bench.Grid{
-			Group:     "fig4",
-			Repl:      replMode(),
-			Engines:   engineSet(),
-			Workloads: []bench.WorkloadSpec{wg.wl},
-			Terminals: []int{wg.terminals},
-			Seeds:     []uint64{*seed},
-			Warmup:    warmup, Measure: measure,
-		}
-		points = append(points, g.Points()...)
+		s := fixedSpec("fig4", engineSet()...)
+		s.Workloads = []bench.WorkloadSpec{wg.wl}
+		s.Terminals = []int{wg.terminals}
+		points = append(points, s.Points()...)
 	}
 	results := runPoints(points)
 
@@ -645,7 +673,6 @@ func fig4() {
 
 // runAblation sweeps the offload lattice on the TATP mix.
 func runAblation() {
-	warmup, measure := windows()
 	lattice := []core.Offloads{
 		{},
 		{Queue: true},
@@ -661,16 +688,9 @@ func runAblation() {
 		spec.Name = off.String() // table rows name the subset, not the engine
 		engines[i] = spec
 	}
-	g := bench.Grid{
-		Group:     "ablation",
-		Repl:      replMode(),
-		Engines:   engines,
-		Workloads: []bench.WorkloadSpec{tatpSpec()},
-		Terminals: []int{*terminals},
-		Seeds:     []uint64{*seed},
-		Warmup:    warmup, Measure: measure,
-	}
-	results := runPoints(g.Points())
+	s := fixedSpec("ablation", engines...)
+	s.Workloads = []bench.WorkloadSpec{tatpSpec()}
+	results := runPoints(s.Points())
 	t := stats.NewTable("offloads", ">tps", ">uJ/txn", ">p50", ">p95")
 	for _, r := range results {
 		t.Row(r.Point.Engine.Name,
@@ -686,7 +706,6 @@ func runAblation() {
 // all three engines — the broad-and-cheap experiment surface the figure
 // generators sample corners of.
 func runSweep() {
-	warmup, measure := windows()
 	if *seeds < 1 {
 		*seeds = 1
 	}
@@ -694,37 +713,38 @@ func runSweep() {
 	for i := range seedList {
 		seedList[i] = *seed + uint64(i)
 	}
-	g := bench.Grid{
-		Group:     "sweep",
-		Repl:      replMode(),
-		Engines:   engineSet(),
-		Workloads: []bench.WorkloadSpec{tatpSpec(), tpccSpec(), ycsbSpec()},
-		Terminals: []int{*terminals},
-		Seeds:     seedList,
-		Warmup:    warmup, Measure: measure,
-	}
-	results := runPoints(g.Points())
+	s := fixedSpec("sweep", engineSet()...)
+	s.Workloads = []bench.WorkloadSpec{tatpSpec(), tpccSpec(), ycsbSpec()}
+	s.Seeds = seedList
+	results := runPoints(s.Points())
 	emit(fmt.Sprintf("Sweep: %d grid points (engines x workloads x %d seed(s))",
 		len(results), len(seedList)), bench.Table(results))
 }
 
-// socketAxis returns the socket counts the scale-out experiments sweep:
-// 1 -> 16 by powers of two, capped (and extended) by -sockets when given.
-func socketAxis() []int {
-	maxSockets := 16
-	if *sockets > 1 {
-		maxSockets = *sockets
+// socketAxis returns a scale-out preset's socket axis: def at the default
+// -sockets 1, otherwise the entries of base up to -sockets, with -sockets
+// itself appended when base lacks it (so -sockets both caps and extends).
+func socketAxis(def, base []int) []int {
+	if *sockets <= 1 {
+		return def
 	}
-	var socks []int
-	for _, n := range []int{1, 2, 4, 8, 16} {
-		if n <= maxSockets {
-			socks = append(socks, n)
+	var out []int
+	for _, n := range base {
+		if n <= *sockets {
+			out = append(out, n)
 		}
 	}
-	if socks[len(socks)-1] != maxSockets {
-		socks = append(socks, maxSockets)
+	if out[len(out)-1] != *sockets {
+		out = append(out, *sockets)
 	}
-	return socks
+	return out
+}
+
+// scalingSockets is the 1 -> 16 axis of fig-scaling, fig-htap and
+// fig-recovery.
+func scalingSockets() []int {
+	axis := bench.DefaultScalingSockets()
+	return socketAxis(axis, axis)
 }
 
 // perSocketTerminals is the scale-out experiments' offered load per socket.
@@ -741,33 +761,17 @@ func perSocketTerminals() int {
 // reports throughput, speedup over one socket and joules/txn — the
 // committed BENCH_scaling.json baseline is this experiment's -json output.
 func runFigScaling() {
-	warmup, measure := windows()
-	socks := socketAxis()
-	// One spec per socket count so the TPC-C database can grow with the
-	// machine (warehouses are TPC-C's unit of parallelism; a fixed-size
-	// database would measure contention collapse, not engine scaling).
+	socks := scalingSockets()
 	// With -sharded-log the sharded axis runs next to the central baseline
 	// (only where it is structurally different: 2+ sockets), so the table
 	// shows exactly what sharding the log lifts.
 	var points []bench.Point
 	for _, n := range socks {
-		tpccCfg := tpccConfig()
-		tpccCfg.Warehouses *= n
-		spec := bench.ScalingSpec{
-			Sockets: []int{n},
-			Workloads: []bench.WorkloadSpec{
-				tatpSpec(),
-				{Name: "tpcc", Make: func() core.Workload { return tpcc.New(tpccCfg) }},
-				ycsbSpec(),
-			},
-			TerminalsPerSocket: perSocketTerminals(),
-			Seeds:              []uint64{*seed},
-			Warmup:             warmup, Measure: measure,
-		}
-		points = append(points, spec.Points()...)
+		s := scaledSpec("fig-scaling", n, tatpSpec(), tpccScaled(n), ycsbSpec())
+		points = append(points, s.Points()...)
 		if *shardedLog && n > 1 {
-			spec.ShardedLog = true
-			points = append(points, spec.Points()...)
+			s.ShardedLog = true
+			points = append(points, s.Points()...)
 		}
 	}
 	results := runPoints(points)
@@ -784,30 +788,22 @@ func runFigScaling() {
 // scan bandwidth and staleness — the committed BENCH_htap.json baseline is
 // this experiment's -json output.
 func runFigHTAP() {
-	warmup, measure := windows()
-	socks := socketAxis()
+	socks := scalingSockets()
 	var points []bench.Point
 	for _, n := range socks {
 		tpccCfg := tpccConfig()
 		tpccCfg.Warehouses *= n
 		ycsbCfg := ycsb.DefaultConfig()
 		ycsbCfg.Records = *records * n
-		spec := bench.HTAPSpec{
-			Sockets: []int{n},
-			Workloads: []bench.WorkloadSpec{
-				{Name: "htap-ycsb", Make: func() core.Workload {
-					return htap.NewYCSB(ycsbCfg, htap.DefaultParams())
-				}},
-				{Name: "htap-tpcc", Make: func() core.Workload {
-					return htap.NewTPCC(tpccCfg, htap.DefaultParams())
-				}},
-			},
-			TerminalsPerSocket: perSocketTerminals(),
-			ShardedLog:         true,
-			Seeds:              []uint64{*seed},
-			Warmup:             warmup, Measure: measure,
-		}
-		points = append(points, spec.Points()...)
+		s := scaledSpec("fig-htap", n,
+			bench.WorkloadSpec{Name: "htap-ycsb", Make: func() core.Workload {
+				return htap.NewYCSB(ycsbCfg, htap.DefaultParams())
+			}},
+			bench.WorkloadSpec{Name: "htap-tpcc", Make: func() core.Workload {
+				return htap.NewTPCC(tpccCfg, htap.DefaultParams())
+			}})
+		s.Engines, s.ShardedLog, s.HTAP = bench.HTAPEngines(), true, true
+		points = append(points, s.Points()...)
 	}
 	results := runPoints(points)
 	emit(fmt.Sprintf("fig-htap: hybrid weak scaling over %v sockets, conventional vs bionic", socks),
@@ -820,21 +816,14 @@ func runFigHTAP() {
 // boot and its joules at each socket count. TPC-C is the workload: it is
 // the log-heavy benchmark whose weak scaling the sharded log un-walls.
 func runFigRecovery() {
-	warmup, measure := windows()
-	socks := socketAxis()
-	spec := bench.RecoverySpec{
-		Sockets: socks,
-		Workload: func(n int) bench.WorkloadSpec {
-			tpccCfg := tpccConfig()
-			tpccCfg.Warehouses *= n
-			return bench.WorkloadSpec{Name: "tpcc", Make: func() core.Workload { return tpcc.New(tpccCfg) }}
-		},
-		ShardedLog:         true,
-		TerminalsPerSocket: perSocketTerminals(),
-		Seed:               *seed,
-		Warmup:             warmup, Measure: measure,
+	socks := scalingSockets()
+	var points []bench.Point
+	for _, n := range socks {
+		s := scaledSpec("fig-recovery", n, tpccScaled(n))
+		s.Engines, s.ShardedLog = doraAxis, true
+		points = append(points, s.Points()...)
 	}
-	results := spec.RunRecovery(bench.Options{Parallel: *parallel})
+	results := bench.RunRecovery(points, bench.Options{Parallel: *parallel})
 	for _, r := range results {
 		if r.Err != nil {
 			fatal(r.Err)
@@ -862,35 +851,27 @@ func runFigRecovery() {
 // experiment's -failover-json output.
 func runFigFailover() {
 	warmup, measure := windows()
-	socks := bench.DefaultFailoverSockets()
-	if *sockets > 1 {
-		socks = socketAxis()
-	}
+	socks := socketAxis(bench.DefaultFailoverSockets(), bench.DefaultScalingSockets())
 	spec := bench.FailoverSpec{
-		Sockets:  socks,
-		Replicas: *replicas,
-		Workload: func(n int) bench.WorkloadSpec {
-			tpccCfg := tpccConfig()
-			tpccCfg.Warehouses *= n
-			return bench.WorkloadSpec{Name: "tpcc", Make: func() core.Workload { return tpcc.New(tpccCfg) }}
-		},
+		Sockets:            socks,
+		Replicas:           *replicas,
+		Workload:           tpccScaled,
 		ShardedLog:         true,
 		TerminalsPerSocket: perSocketTerminals(),
 		Seed:               *seed,
+		Obs:                obsOpts(),
 		Warmup:             warmup, Measure: measure,
 	}
 	if m := replMode(); m != stats.ReplNone {
 		spec.Modes = []stats.ReplMode{stats.ReplNone, m}
 	}
-	spec.Obs = obsOpts()
 	fo, steady := spec.RunFailover(bench.Options{Parallel: *parallel})
-	collected = append(collected, steady...)
+	sink(steady)
 	for _, r := range fo {
 		if r.Err != nil {
 			fatal(r.Err)
 		}
 	}
-	writeObsArtifacts(steady)
 	emit(fmt.Sprintf("fig-failover: replication tax and measured failover over %v sockets, %d replicas",
 		socks, spec.Replicas), bench.FailoverTable(fo))
 	if *failJSON != "" {
@@ -899,29 +880,6 @@ func runFigFailover() {
 		}
 		fmt.Printf("wrote %d failover results to %s\n", len(fo), *failJSON)
 	}
-}
-
-// anatomySockets is the fig-anatomy socket axis: 1, 4 and 16 — the anchor,
-// the knee and the scale-out end of the scaling curves. -quick trims the
-// 16-socket end; -sockets > 1 caps (and extends) the axis like socketAxis.
-func anatomySockets() []int {
-	socks := []int{1, 4, 16}
-	if *quick {
-		socks = []int{1, 4}
-	}
-	if *sockets > 1 {
-		var out []int
-		for _, n := range socks {
-			if n <= *sockets {
-				out = append(out, n)
-			}
-		}
-		if out[len(out)-1] != *sockets {
-			out = append(out, *sockets)
-		}
-		return out
-	}
-	return socks
 }
 
 // runFigAnatomy prints the per-transaction latency anatomy: where committed
@@ -933,29 +891,18 @@ func anatomySockets() []int {
 // Phases overlap across a transaction's parallel actions, so shares are of
 // summed phase time, not of end-to-end latency.
 func runFigAnatomy() {
-	warmup, measure := windows()
-	socks := anatomySockets()
+	// 1, 4 and 16 sockets: the anchor, the knee and the scale-out end of
+	// the scaling curves (-quick trims the 16-socket end).
+	socks := []int{1, 4, 16}
+	if *quick {
+		socks = []int{1, 4}
+	}
+	socks = socketAxis(socks, socks)
 	var points []bench.Point
 	for _, n := range socks {
-		tpccCfg := tpccConfig()
-		tpccCfg.Warehouses *= n
-		spec := bench.ScalingSpec{
-			Sockets: []int{n},
-			Workloads: []bench.WorkloadSpec{
-				tatpSpec(),
-				{Name: "tpcc", Make: func() core.Workload { return tpcc.New(tpccCfg) }},
-				ycsbSpec(),
-			},
-			TerminalsPerSocket: perSocketTerminals(),
-			ShardedLog:         *shardedLog,
-			Seeds:              []uint64{*seed},
-			Warmup:             warmup, Measure: measure,
-		}
-		pts := spec.Points()
-		for i := range pts {
-			pts[i].Group = "fig-anatomy"
-		}
-		points = append(points, pts...)
+		s := scaledSpec("fig-anatomy", n, tatpSpec(), tpccScaled(n), ycsbSpec())
+		s.ShardedLog = *shardedLog
+		points = append(points, s.Points()...)
 	}
 	results := runPoints(points)
 	t := stats.NewTable("workload", "engine", ">sockets", "phase",

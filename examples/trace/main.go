@@ -24,7 +24,7 @@ func main() {
 	metricsOut := flag.String("metrics-out", "metrics.csv", "telemetry output path (.json = JSON, else CSV)")
 	flag.Parse()
 
-	sweep := bionicdb.ScalingSweep{
+	sweep := bionicdb.SweepSpec{
 		Sockets: []int{1, *sockets},
 		Workloads: []bionicdb.WorkloadSpec{
 			{Name: "tatp", Make: func() bionicdb.Workload {
@@ -36,7 +36,7 @@ func main() {
 				return bionicdb.DORASpecOn(cfg, partitions)
 			}},
 		},
-		TerminalsPerSocket: 16,
+		Terminals: []int{16}, // per socket
 		// Per-socket log devices: cross-socket transactions then flow
 		// between kernel shards, which is what draws flow edges in the
 		// trace. On the classic shared-log layout the whole engine lives

@@ -20,12 +20,12 @@ func main() {
 		}}
 	}
 
-	grid := bionicdb.SweepGrid{
-		Engines: []bionicdb.EngineSpec{
+	grid := bionicdb.SweepSpec{
+		Engines: bionicdb.FixedEngines(
 			bionicdb.ConventionalSpec(),
 			bionicdb.DORASpec(8),
 			bionicdb.BionicSpec(8, bionicdb.AllOffloads(), 8),
-		},
+		),
 		Workloads: []bionicdb.WorkloadSpec{
 			workload("ycsb-a", bionicdb.YCSBWorkloadA()),
 			workload("ycsb-b", bionicdb.YCSBWorkloadB()),

@@ -1,11 +1,11 @@
-// Package bench is the experiment-sweep subsystem: a declarative grid of
-// engine constructor x workload x terminals x seed that expands into
-// measurement points and fans them out across a worker pool. Every point
-// runs core.Run in its own sim.Env, so a parallel sweep is bit-identical
-// to the same grid run serially — the pool changes wall-clock time, never
-// results. cmd/bionicbench's figure generators, the ablation, the
-// saturation sweep and the multi-socket scaling sweep (ScalingSpec,
-// scaling.go) all execute through it; results render as tables
+// Package bench is the experiment subsystem: one declarative Spec — the
+// cross product workload x sockets x engine x terminals x seed — expands
+// into measurement points and fans them out across a worker pool. Every
+// point runs in its own sim.Env, so a parallel sweep is bit-identical to
+// the same spec run serially — the pool changes wall-clock time, never
+// results. The same points drive the crash experiments (Spec.RunRecovery,
+// and FailoverSpec, which builds its points through Spec); every figure of
+// cmd/bionicbench is a preset over it. Results render as tables
 // (stats.Table) or structured JSON (emit.go).
 package bench
 
@@ -73,34 +73,186 @@ type WorkloadSpec struct {
 	Make func() core.Workload
 }
 
-// Grid declares a sweep: the cross product of every axis. Zero axes get
-// defaults (Terminals {64}, Seeds {42}) and zero windows get the
-// DefaultRunConfig windows, so only the interesting axes need declaring.
-type Grid struct {
-	// Group names the experiment the grid belongs to; it prefixes JSON
-	// result names so points from different grids stay distinguishable
-	// when one invocation collects several experiments.
-	Group string
+// ScalingEngine is one entry of a spec's engine axis: On builds the engine
+// spec for the machine the spec built, its total partition count and the
+// bionic window. A set Name names the curve in tables ("bionic", not the
+// offload list); an empty one keeps the built spec's own name.
+type ScalingEngine struct {
+	Name string
+	On   func(cfg *platform.Config, partitions, window int) EngineSpec
+}
 
-	Engines   []EngineSpec
+// Fixed lifts ready-built engine specs onto the engine axis: the
+// degenerate On, which ignores the machine the spec builds because each
+// spec carries its own. Use it on an empty socket axis, where points carry
+// no machine annotation beyond the spec's Repl.
+func Fixed(specs ...EngineSpec) []ScalingEngine {
+	out := make([]ScalingEngine, len(specs))
+	for i, spec := range specs {
+		spec := spec
+		out[i] = ScalingEngine{On: func(*platform.Config, int, int) EngineSpec { return spec }}
+	}
+	return out
+}
+
+// DefaultScalingEngines returns the standard engine axis: conventional,
+// DORA and the fully-offloaded bionic engine.
+func DefaultScalingEngines() []ScalingEngine {
+	return []ScalingEngine{
+		{Name: "conventional", On: func(cfg *platform.Config, partitions, window int) EngineSpec {
+			return ConventionalOn(cfg)
+		}},
+		{Name: "dora", On: func(cfg *platform.Config, partitions, window int) EngineSpec {
+			return DORAOn(cfg, partitions)
+		}},
+		{Name: "bionic", On: func(cfg *platform.Config, partitions, window int) EngineSpec {
+			return BionicOn(cfg, partitions, core.AllOffloads(), window)
+		}},
+	}
+}
+
+// DefaultScalingSockets is the 1 -> 16 socket axis of the fig-scaling
+// figure.
+func DefaultScalingSockets() []int { return []int{1, 2, 4, 8, 16} }
+
+// Defaults shared by every spec (FailoverSpec resolves through Spec too).
+const (
+	defaultTerminals = 32 // closed-loop clients per socket
+	defaultWindow    = 8  // bionic in-flight window
+	defaultReplicas  = 2  // replica machines: sync waits both, quorum one
+)
+
+// Spec declares an experiment: the cross product workload x sockets x
+// engine x terminals x seed, expanded in that order (workload outermost),
+// so each workload's curves print together, engine by engine. Zero fields
+// get defaults, so only the axes under study need declaring. Every point
+// inherits HTAP, Obs and the windows by construction, and its Sockets,
+// ShardedLog and Repl annotations are read off the machine built for it.
+//
+// With a socket axis this is weak scaling — load and partitions grow with
+// the machine — so a perfectly scalable engine shows throughput
+// proportional to sockets at flat joules/txn, while a centralized engine
+// flattens as the interconnect and its shared structures saturate.
+type Spec struct {
+	// Group names the experiment; it prefixes JSON result names so points
+	// from different experiments stay distinguishable when one invocation
+	// collects several.
+	Group     string
 	Workloads []WorkloadSpec
+
+	// Sockets is the socket axis: one platform.HC2Scaled(n) machine per
+	// entry, each point annotated with n. Empty means a single one-socket
+	// machine and unannotated points.
+	Sockets []int
+	// Engines is the engine axis, instantiated per machine with one
+	// partition per core (default DefaultScalingEngines).
+	Engines []ScalingEngine
+	// Terminals is the terminal axis in closed-loop clients per socket
+	// (default 32).
 	Terminals []int
-	Seeds     []uint64
-
-	// Repl annotates every point with the log-replication mode the engine
-	// specs were built with (reporting metadata, like Point.Repl).
+	// Window is the bionic in-flight window (default 8).
+	Window int
+	// ShardedLog gives every machine per-socket log devices (the sharded
+	// durability subsystem). One-socket machines are structurally
+	// unaffected, so their points stay unannotated and bit-identical to the
+	// central-log ones, anchoring the speedup column.
+	ShardedLog bool
+	// Repl ships every machine's log to two replica machines under this
+	// mode (default ReplNone: no replication machinery is built).
 	Repl stats.ReplMode
-
+	// HTAP attaches each workload as its run's analytical half (see
+	// Point.HTAP).
+	HTAP bool
 	// Obs attaches the flight recorder to every point (see
 	// core.RunConfig.Obs). Strictly out-of-band: digests are bit-identical
 	// with it on or off, which the observability equivalence test pins.
 	Obs *obs.Options
 
-	// Measurement windows shared by every point.
+	Seeds   []uint64
 	Warmup  sim.Duration
 	Measure sim.Duration
-	Drain   sim.Duration
 }
+
+// withDefaults returns the spec with every zero field defaulted.
+func (s Spec) withDefaults() Spec {
+	def := core.DefaultRunConfig()
+	if len(s.Engines) == 0 {
+		s.Engines = DefaultScalingEngines()
+	}
+	if len(s.Terminals) == 0 {
+		s.Terminals = []int{defaultTerminals}
+	}
+	if s.Window <= 0 {
+		s.Window = defaultWindow
+	}
+	if len(s.Seeds) == 0 {
+		s.Seeds = []uint64{def.Seed}
+	}
+	if s.Warmup <= 0 {
+		s.Warmup = def.Warmup
+	}
+	if s.Measure <= 0 {
+		s.Measure = def.Measure
+	}
+	return s
+}
+
+// machine builds the n-socket HC2 a point runs on, log-sharded and
+// replicated as asked (ReplNone builds no replication machinery).
+func machine(n int, sharded bool, repl stats.ReplMode, replicas int) *platform.Config {
+	cfg := platform.HC2Scaled(n)
+	cfg.LogDevPerSocket = sharded
+	if repl != stats.ReplNone {
+		cfg.Replicas = replicas
+		cfg.ReplMode = repl
+	}
+	return cfg
+}
+
+// Points expands the spec in deterministic order: workload, sockets,
+// engine, terminals, seed.
+func (s Spec) Points() []Point { return s.expand(defaultReplicas) }
+
+// expand is Points with the replica count of replicated machines.
+func (s Spec) expand(replicas int) []Point {
+	s = s.withDefaults()
+	sockets := s.Sockets
+	if len(sockets) == 0 {
+		sockets = []int{0} // the single unannotated machine
+	}
+	var out []Point
+	for _, wl := range s.Workloads {
+		for _, n := range sockets {
+			cfg := machine(max(n, 1), s.ShardedLog, s.Repl, replicas)
+			for _, eng := range s.Engines {
+				spec := eng.On(cfg, cfg.TotalCores(), s.Window)
+				if eng.Name != "" {
+					spec.Name = eng.Name
+				}
+				for _, t := range s.Terminals {
+					for _, seed := range s.Seeds {
+						p := Point{
+							Index: len(out), Group: s.Group, Engine: spec, Workload: wl,
+							Terminals: t * cfg.NumSockets(), Seed: seed, HTAP: s.HTAP, Obs: s.Obs,
+							Warmup: s.Warmup, Measure: s.Measure,
+						}
+						if n > 0 {
+							p.Sockets, p.ShardedLog = n, cfg.ShardedLog()
+						}
+						if cfg.Replicated() {
+							p.Repl = cfg.ReplMode
+						}
+						out = append(out, p)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// Run executes the whole spec; see Run.
+func (s Spec) Run(opt Options) []Result { return Run(s.Points(), opt) }
 
 // Point is one expanded measurement: a fully-specified core.Run.
 type Point struct {
@@ -112,15 +264,14 @@ type Point struct {
 	Seed      uint64
 
 	// Sockets annotates the platform socket count the engine spec was
-	// built for (scaling sweeps; 0 = unannotated single-socket grids).
-	// It is reporting metadata: the socket count itself lives in the
-	// platform config captured by Engine.Make.
+	// built for (0 = unannotated single-socket points). It is reporting
+	// metadata: the socket count itself lives in the platform config
+	// captured by Engine.Make.
 	Sockets int
 
 	// ShardedLog annotates that the engine spec was built on a machine
 	// with per-socket log devices (the sharded durability subsystem).
-	// Reporting metadata like Sockets: the knob itself lives in the
-	// platform config captured by Engine.Make.
+	// Reporting metadata like Sockets.
 	ShardedLog bool
 
 	// HTAP attaches the workload as the run's analytical half (the
@@ -130,8 +281,7 @@ type Point struct {
 
 	// Repl annotates the log-replication mode the engine spec was built
 	// with (stats.ReplNone = unreplicated). Reporting metadata like
-	// Sockets: the mode itself lives in the platform config captured by
-	// Engine.Make.
+	// Sockets.
 	Repl stats.ReplMode
 
 	// KernelParallel is ignored. It once ran the point's windows on host
@@ -146,46 +296,7 @@ type Point struct {
 
 	Warmup  sim.Duration
 	Measure sim.Duration
-	Drain   sim.Duration
 }
-
-// Points expands the grid in deterministic order: workload outermost, then
-// engine, terminals, seed — the row order the figure tables print in.
-func (g *Grid) Points() []Point {
-	terminals := g.Terminals
-	if len(terminals) == 0 {
-		terminals = []int{core.DefaultRunConfig().Terminals}
-	}
-	seeds := g.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{core.DefaultRunConfig().Seed}
-	}
-	warmup, measure := g.Warmup, g.Measure
-	if warmup <= 0 {
-		warmup = core.DefaultRunConfig().Warmup
-	}
-	if measure <= 0 {
-		measure = core.DefaultRunConfig().Measure
-	}
-	var out []Point
-	for _, wl := range g.Workloads {
-		for _, eng := range g.Engines {
-			for _, t := range terminals {
-				for _, seed := range seeds {
-					out = append(out, Point{
-						Index: len(out), Group: g.Group, Engine: eng, Workload: wl,
-						Terminals: t, Seed: seed, Repl: g.Repl, Obs: g.Obs,
-						Warmup: warmup, Measure: measure, Drain: g.Drain,
-					})
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Run executes the whole grid; see Run.
-func (g *Grid) Run(opt Options) []Result { return Run(g.Points(), opt) }
 
 // Result is one point's outcome: the point that produced it, the
 // measurement (nil on error) and the host wall-clock the run took.
@@ -203,7 +314,6 @@ func (p Point) Run() Result {
 		Terminals: p.Terminals,
 		Warmup:    p.Warmup,
 		Measure:   p.Measure,
-		Drain:     p.Drain,
 		Seed:      p.Seed,
 		Obs:       p.Obs,
 	}
@@ -228,22 +338,31 @@ type Options struct {
 	OnResult func(Result)
 }
 
-// Run fans the points out across the pool and returns results in grid
-// order. Each point's Index is rewritten to its slice position, so
-// concatenated point lists stay addressable.
-func Run(points []Point, opt Options) []Result {
-	out := make([]Result, len(points))
+// each runs fn for every point across the pool, the point's Index
+// rewritten to its slice position so concatenated point lists stay
+// addressable, and hands what fn returns to OnResult: the one serialized
+// path every runner reports through.
+func (opt Options) each(points []Point, fn func(i int, p Point) Result) {
 	var mu sync.Mutex
 	ForEach(len(points), opt.Parallel, func(i int) {
 		p := points[i]
 		p.Index = i
-		r := p.Run()
-		out[i] = r
+		r := fn(i, p)
 		if opt.OnResult != nil {
 			mu.Lock()
+			defer mu.Unlock()
 			opt.OnResult(r)
-			mu.Unlock()
 		}
+	})
+}
+
+// Run fans the points out across the pool and returns results in grid
+// order.
+func Run(points []Point, opt Options) []Result {
+	out := make([]Result, len(points))
+	opt.each(points, func(i int, p Point) Result {
+		out[i] = p.Run()
+		return out[i]
 	})
 	return out
 }

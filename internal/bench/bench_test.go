@@ -2,12 +2,18 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bionicdb/internal/core"
+	"bionicdb/internal/obs"
+	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
+	"bionicdb/internal/stats"
 	"bionicdb/internal/workload/htap"
 	"bionicdb/internal/workload/tatp"
 	"bionicdb/internal/workload/tpcc"
@@ -36,9 +42,9 @@ func smallTPCC() WorkloadSpec {
 	}}
 }
 
-func smallGrid() Grid {
-	return Grid{
-		Engines:   []EngineSpec{DORA(4), Bionic(4, core.AllOffloads(), 8)},
+func smallSpec() Spec {
+	return Spec{
+		Engines:   Fixed(DORA(4), Bionic(4, core.AllOffloads(), 8)),
 		Workloads: []WorkloadSpec{smallTATP(), smallYCSB(), smallTPCC()},
 		Terminals: []int{8},
 		Seeds:     []uint64{1, 2},
@@ -47,34 +53,104 @@ func smallGrid() Grid {
 	}
 }
 
-// TestPointsExpansion checks the grid cross product, ordering and
-// defaulting.
-func TestPointsExpansion(t *testing.T) {
-	g := smallGrid()
-	points := g.Points()
-	if len(points) != 3*2*1*2 {
-		t.Fatalf("expected 12 points, got %d", len(points))
-	}
-	// Workload outermost, then engine, then seed.
-	if points[0].Workload.Name != "tatp" || points[4].Workload.Name != "ycsb" {
-		t.Fatalf("unexpected workload order: %s, %s", points[0].Workload.Name, points[4].Workload.Name)
-	}
-	if points[0].Seed != 1 || points[1].Seed != 2 {
-		t.Fatalf("unexpected seed order: %d, %d", points[0].Seed, points[1].Seed)
-	}
-	for i, p := range points {
-		if p.Index != i {
-			t.Fatalf("point %d has index %d", i, p.Index)
+// probeEngine is an engine axis entry that builds nothing runnable: its
+// spec name records the machine, partition count and window it was handed,
+// so expansion tests can see what the spec built for each point.
+var probeEngine = ScalingEngine{On: func(cfg *platform.Config, partitions, window int) EngineSpec {
+	return EngineSpec{Name: fmt.Sprintf("probe[x%d p%d w%d %s r%d]",
+		cfg.NumSockets(), partitions, window, cfg.ReplMode, cfg.Replicas)}
+}}
+
+// expansionCase is one Spec and the key of every point it must expand to, in
+// expansion order.
+type expansionCase struct {
+	name string
+	spec Spec
+	want []string
+}
+
+// checkExpansion pins how a Spec expands: the axis order (workload, sockets,
+// engine, terminals, seed), the Sockets/ShardedLog/HTAP/Repl annotations
+// encoded in each case's keys, the default windows, and Obs and Index on
+// every point.
+func checkExpansion(t *testing.T, cases []expansionCase) {
+	t.Helper()
+	o := &obs.Options{Trace: true}
+	def := core.DefaultRunConfig()
+	for _, c := range cases {
+		c.spec.Obs = o
+		points := c.spec.Points()
+		var got []string
+		for i, p := range points {
+			key := fmt.Sprintf("%s/%s x%d t%d s%d", p.Workload.Name, p.Engine.Name, p.Sockets, p.Terminals, p.Seed)
+			if p.ShardedLog {
+				key += " slog"
+			}
+			if p.HTAP {
+				key += " htap"
+			}
+			if p.Repl != stats.ReplNone {
+				key += " " + p.Repl.String()
+			}
+			got = append(got, key)
+			if p.Index != i || p.Obs != o {
+				t.Errorf("%s: point %d has index %d, obs %p", c.name, i, p.Index, p.Obs)
+			}
+			if p.Warmup != def.Warmup || p.Measure != def.Measure {
+				t.Errorf("%s: point %d windows %v/%v, want the defaults", c.name, i, p.Warmup, p.Measure)
+			}
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: expansion\n got  %q\n want %q", c.name, got, c.want)
 		}
 	}
+}
 
-	defaulted := Grid{Engines: []EngineSpec{DORA(4)}, Workloads: []WorkloadSpec{smallTATP()}}
-	dp := defaulted.Points()
-	want := core.DefaultRunConfig()
-	if len(dp) != 1 || dp[0].Terminals != want.Terminals || dp[0].Seed != want.Seed ||
-		dp[0].Warmup != want.Warmup || dp[0].Measure != want.Measure {
-		t.Fatalf("defaults not applied: %+v", dp[0])
-	}
+// TestPointsExpansion covers a Spec with an empty socket axis: one machine,
+// unannotated points (Sockets == 0, no ShardedLog even when asked for), and
+// the window and seed defaults read off the machine built for the point.
+func TestPointsExpansion(t *testing.T) {
+	checkExpansion(t, []expansionCase{
+		{"empty socket axis", Spec{
+			Engines: Fixed(Conventional(), DORA(4)), Workloads: []WorkloadSpec{smallTATP(), smallYCSB()},
+			Terminals: []int{8}, Seeds: []uint64{1, 2}, ShardedLog: true,
+		}, []string{
+			"tatp/conventional x0 t8 s1", "tatp/conventional x0 t8 s2", "tatp/dora x0 t8 s1", "tatp/dora x0 t8 s2",
+			"ycsb/conventional x0 t8 s1", "ycsb/conventional x0 t8 s2", "ycsb/dora x0 t8 s1", "ycsb/dora x0 t8 s2",
+		}},
+		{"unreplicated machine", Spec{
+			Engines: []ScalingEngine{probeEngine}, Workloads: []WorkloadSpec{smallTATP()}, Window: 2,
+		}, []string{"tatp/probe[x1 p8 w2 none r0] x0 t32 s42"}},
+	})
+}
+
+// TestScalingPointsExpansion covers a Spec with a socket axis: terminals
+// scale per socket, ShardedLog is set only where the machine really shards
+// (2+ sockets), the HTAP flag is carried, and Repl, partitions and replicas
+// are read off the machine built for the point.
+func TestScalingPointsExpansion(t *testing.T) {
+	checkExpansion(t, []expansionCase{
+		{"socket axis, sharded log", Spec{
+			Sockets: []int{1, 2}, Engines: DefaultScalingEngines()[:2], Workloads: []WorkloadSpec{smallTATP(), smallYCSB()},
+			Terminals: []int{4, 8}, Seeds: []uint64{7}, ShardedLog: true,
+		}, []string{
+			"tatp/conventional x1 t4 s7", "tatp/conventional x1 t8 s7", "tatp/dora x1 t4 s7", "tatp/dora x1 t8 s7",
+			"tatp/conventional x2 t8 s7 slog", "tatp/conventional x2 t16 s7 slog", "tatp/dora x2 t8 s7 slog", "tatp/dora x2 t16 s7 slog",
+			"ycsb/conventional x1 t4 s7", "ycsb/conventional x1 t8 s7", "ycsb/dora x1 t4 s7", "ycsb/dora x1 t8 s7",
+			"ycsb/conventional x2 t8 s7 slog", "ycsb/conventional x2 t16 s7 slog", "ycsb/dora x2 t8 s7 slog", "ycsb/dora x2 t16 s7 slog",
+		}},
+		{"htap", Spec{
+			Sockets: []int{2}, Engines: HTAPEngines(), Workloads: []WorkloadSpec{smallHTAPYCSB()},
+			Terminals: []int{4}, Seeds: []uint64{1}, HTAP: true,
+		}, []string{"htap-ycsb/conventional x2 t8 s1 htap", "htap-ycsb/bionic x2 t8 s1 htap"}},
+		{"replicated, defaults", Spec{
+			Sockets: []int{1, 4}, Engines: []ScalingEngine{probeEngine}, Workloads: []WorkloadSpec{smallTATP()},
+			Repl: stats.ReplQuorum,
+		}, []string{
+			"tatp/probe[x1 p8 w8 quorum r2] x1 t32 s42 quorum",
+			"tatp/probe[x4 p32 w8 quorum r2] x4 t128 s42 quorum",
+		}},
+	})
 }
 
 // TestParallelMatchesSerial is the subsystem's core guarantee: a sweep fanned
@@ -82,8 +158,7 @@ func TestPointsExpansion(t *testing.T) {
 // run serially, because every point owns its environment, workload and
 // random streams.
 func TestParallelMatchesSerial(t *testing.T) {
-	g := smallGrid()
-	points := g.Points()
+	points := smallSpec().Points()
 	serial := Run(points, Options{Parallel: 1})
 	par := Run(points, Options{Parallel: 4})
 	if len(serial) != len(par) {
@@ -123,8 +198,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 // a grid and checks each run commits work of every requested kind.
 func TestYCSBAllEngines(t *testing.T) {
 	cfg := ycsb.Config{Records: 2000, ReadPct: 40, UpdatePct: 30, ScanPct: 15, RMWPct: 15, MaxScanLen: 20}
-	g := Grid{
-		Engines: []EngineSpec{Conventional(), DORA(4), Bionic(4, core.AllOffloads(), 8)},
+	g := Spec{
+		Engines: Fixed(Conventional(), DORA(4), Bionic(4, core.AllOffloads(), 8)),
 		Workloads: []WorkloadSpec{{Name: "ycsb", Make: func() core.Workload {
 			return ycsb.New(cfg)
 		}}},
@@ -166,8 +241,8 @@ func TestForEach(t *testing.T) {
 
 // TestJSONEmission checks the document shape and that errors carry through.
 func TestJSONEmission(t *testing.T) {
-	g := Grid{
-		Engines:   []EngineSpec{DORA(4)},
+	g := Spec{
+		Engines:   Fixed(DORA(4)),
 		Workloads: []WorkloadSpec{smallYCSB()},
 		Terminals: []int{4},
 		Seeds:     []uint64{3},
@@ -215,4 +290,48 @@ func smallHTAPTPCC() WorkloadSpec {
 	return WorkloadSpec{Name: "htap-tpcc", Make: func() core.Workload {
 		return htap.NewTPCC(tpcc.SmallConfig(), htap.DefaultParams())
 	}}
+}
+
+// TestOnResultSerialized pins the Options contract on every runner:
+// OnResult calls are serialized, so a plain counter needs no lock. Each
+// call is held open until a second call is inside or a short wait runs
+// out, so unserialized calls from two pool workers overlap — caught by the
+// overlap witness, and by go test -race on the counter — while serialized
+// ones never can.
+func TestOnResultSerialized(t *testing.T) {
+	calls := 0
+	var inside atomic.Int32
+	var overlapped atomic.Bool
+	var once sync.Once
+	met := make(chan struct{})
+	opt := Options{Parallel: 2, OnResult: func(Result) {
+		if inside.Add(1) > 1 {
+			overlapped.Store(true)
+			once.Do(func() { close(met) })
+		}
+		select {
+		case <-met:
+		case <-time.After(300 * time.Millisecond):
+		}
+		calls++
+		inside.Add(-1)
+	}}
+	spec := Spec{
+		Sockets: []int{1, 2}, Engines: DefaultScalingEngines()[1:2], // dora
+		Workloads: []WorkloadSpec{smallYCSB()}, Terminals: []int{4}, ShardedLog: true,
+		Warmup: 1 * sim.Millisecond, Measure: 2 * sim.Millisecond,
+	}
+	runs := spec.Run(opt)
+	recs := spec.RunRecovery(opt)
+	fos, _ := FailoverSpec{
+		Sockets: []int{1}, Modes: []stats.ReplMode{stats.ReplNone, stats.ReplAsync},
+		Workload: func(int) WorkloadSpec { return smallTPCC() }, ShardedLog: true, TerminalsPerSocket: 4,
+		Warmup: 1 * sim.Millisecond, Measure: 2 * sim.Millisecond,
+	}.RunFailover(opt)
+	if overlapped.Load() {
+		t.Error("OnResult calls overlapped")
+	}
+	if want := len(runs) + len(recs) + len(fos); calls != want {
+		t.Errorf("OnResult called %d times, want %d", calls, want)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"bionicdb/internal/platform"
 	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
 )
@@ -26,17 +25,16 @@ const engineShardGoldenDigest = "a71002e29396f8ea02fe0ec1686af613db92253a89d669b
 // engineShardSpec is the DORA-only sharded-log scaling spec every test
 // here runs: at 2+ sockets with no offloads, no replication and window 1,
 // these points take the engine-sharded path.
-func engineShardSpec(sockets []int) ScalingSpec {
-	return ScalingSpec{
-		Sockets:   sockets,
-		Workloads: []WorkloadSpec{smallYCSB()},
-		Engines: []ScalingEngine{{Name: "dora", On: func(cfg *platform.Config, partitions, window int) EngineSpec {
-			return DORAOn(cfg, partitions)
-		}}},
-		TerminalsPerSocket: 4,
-		ShardedLog:         true,
-		Warmup:             1 * sim.Millisecond,
-		Measure:            3 * sim.Millisecond,
+func engineShardSpec(sockets []int) Spec {
+	return Spec{
+		Group:      "fig-scaling",
+		Sockets:    sockets,
+		Workloads:  []WorkloadSpec{smallYCSB()},
+		Engines:    DefaultScalingEngines()[1:2], // dora
+		Terminals:  []int{4},
+		ShardedLog: true,
+		Warmup:     1 * sim.Millisecond,
+		Measure:    3 * sim.Millisecond,
 	}
 }
 
@@ -100,15 +98,7 @@ func TestEngineShardWindowCounters(t *testing.T) {
 // DeepEqual between a one-worker and a three-worker sweep pool, the only
 // host concurrency a run can meet.
 func TestEngineShardRecoveryEquivalence(t *testing.T) {
-	spec := RecoverySpec{
-		Sockets:            []int{2, 4, 8},
-		Workload:           func(n int) WorkloadSpec { return smallYCSB() },
-		ShardedLog:         true,
-		TerminalsPerSocket: 4,
-		Seed:               42,
-		Warmup:             1 * sim.Millisecond,
-		Measure:            3 * sim.Millisecond,
-	}
+	spec := engineShardSpec([]int{2, 4, 8})
 	serial := spec.RunRecovery(Options{Parallel: 1})
 	pooled := spec.RunRecovery(Options{Parallel: 3})
 	for i := range serial {

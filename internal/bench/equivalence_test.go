@@ -43,7 +43,7 @@ func withShape(points []Point) []Point {
 	return out
 }
 
-// shapedDORA is the recovery and failover specs' default engine, shaped.
+// shapedDORA is the crash experiments' DORA engine, shaped.
 func shapedDORA(cfg *platform.Config, partitions, window int) EngineSpec {
 	return shapedEngine(DORAOn(cfg, partitions))
 }
@@ -70,7 +70,7 @@ func mustRun(t *testing.T, name string, points []Point, opt Options) []Result {
 func TestKernelEquivalenceMatrix(t *testing.T) {
 	scaling124 := goldenScalingSpec()
 	scaling124.Sockets = []int{1, 2, 4}
-	quick := goldenGrid()
+	quick := goldenSpec()
 	families := []struct {
 		name   string
 		points []Point
@@ -106,17 +106,18 @@ func TestKernelEquivalenceMatrix(t *testing.T) {
 // replayed content, the recovery timings and the energy must all be
 // bit-identical.
 func TestKernelEquivalenceRecovery(t *testing.T) {
-	spec := RecoverySpec{
-		Sockets:            []int{1, 2, 4},
-		Workload:           func(n int) WorkloadSpec { return smallYCSB() },
-		ShardedLog:         true,
-		TerminalsPerSocket: 4,
-		Seed:               42,
-		Warmup:             1 * sim.Millisecond,
-		Measure:            3 * sim.Millisecond,
+	spec := Spec{
+		Sockets:    []int{1, 2, 4},
+		Workloads:  []WorkloadSpec{smallYCSB()},
+		Engines:    DefaultScalingEngines()[1:2], // dora
+		ShardedLog: true,
+		Terminals:  []int{4},
+		Seeds:      []uint64{42},
+		Warmup:     1 * sim.Millisecond,
+		Measure:    3 * sim.Millisecond,
 	}
 	serial := spec.RunRecovery(Options{Parallel: 2})
-	spec.Engine = shapedDORA
+	spec.Engines = []ScalingEngine{{On: shapedDORA}}
 	shaped := spec.RunRecovery(Options{Parallel: 2})
 	for i := range serial {
 		if serial[i].Err != nil || shaped[i].Err != nil {

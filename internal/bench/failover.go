@@ -47,18 +47,8 @@ type FailoverSpec struct {
 
 	// TerminalsPerSocket is the offered load (default 32).
 	TerminalsPerSocket int
-	// PartitionsPerSocket is the DORA partition count per socket (default:
-	// cores per socket).
-	PartitionsPerSocket int
 	// Window is the bionic in-flight window (default 8).
 	Window int
-	// Detect is the modeled failure-detector delay before the replica
-	// starts recovery (default core.DefaultDetect).
-	Detect sim.Duration
-	// NoFaultWindows drops the lag/partition/stall windows from the fault
-	// plan, leaving only the primary kill (the windows are on by default —
-	// the fault machinery should be exercised by the figure it exists for).
-	NoFaultWindows bool
 
 	Seed    uint64
 	Warmup  sim.Duration
@@ -128,72 +118,40 @@ func (s FailoverSpec) RunFailover(opt Options) ([]FailoverResult, []Result) {
 	}
 	replicas := s.Replicas
 	if replicas <= 0 {
-		replicas = 2
+		replicas = defaultReplicas
 	}
 	engine := s.Engine
 	if engine == nil {
-		engine = func(cfg *platform.Config, partitions, window int) EngineSpec {
-			return DORAOn(cfg, partitions)
-		}
+		engine = DefaultScalingEngines()[1].On // DORA
 	}
-	tps := s.TerminalsPerSocket
-	if tps <= 0 {
-		tps = 32
-	}
-	window := s.Window
-	if window <= 0 {
-		window = 8
-	}
-	detect := s.Detect
-	if detect <= 0 {
-		detect = core.DefaultDetect
-	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = core.DefaultRunConfig().Seed
-	}
-	warmup, measure := s.Warmup, s.Measure
-	if warmup <= 0 {
-		warmup = core.DefaultRunConfig().Warmup
-	}
-	if measure <= 0 {
-		measure = core.DefaultRunConfig().Measure
-	}
-
-	type pt struct {
-		sockets int
-		mode    stats.ReplMode
-	}
-	var pts []pt
+	// Every (sockets, mode) point is a one-point Spec, so it resolves the
+	// shared defaults and machine exactly as any other experiment does.
+	var points []Point
 	for _, n := range sockets {
-		for _, m := range modes {
-			pts = append(pts, pt{n, m})
+		for _, mode := range modes {
+			spec := Spec{
+				Group: "fig-failover", Workloads: []WorkloadSpec{s.Workload(n)},
+				Sockets: []int{n}, Engines: []ScalingEngine{{On: engine}},
+				Window: s.Window, ShardedLog: s.ShardedLog, Repl: mode, Obs: s.Obs,
+				Warmup: s.Warmup, Measure: s.Measure,
+			}
+			if s.TerminalsPerSocket > 0 {
+				spec.Terminals = []int{s.TerminalsPerSocket}
+			}
+			if s.Seed != 0 {
+				spec.Seeds = []uint64{s.Seed}
+			}
+			points = append(points, spec.expand(replicas)...)
 		}
 	}
-	out := make([]FailoverResult, len(pts))
-	steady := make([]Result, len(pts))
-	ForEach(len(pts), opt.Parallel, func(i int) {
-		n, mode := pts[i].sockets, pts[i].mode
-		cfg := platform.HC2Scaled(n)
-		cfg.LogDevPerSocket = s.ShardedLog
-		if mode != stats.ReplNone {
-			cfg.Replicas = replicas
-			cfg.ReplMode = mode
+	out := make([]FailoverResult, len(points))
+	steady := make([]Result, len(points))
+	opt.each(points, func(i int, p Point) Result {
+		out[i], steady[i] = runFailoverPoint(p)
+		if p.Repl != stats.ReplNone {
+			out[i].Replicas = replicas
 		}
-		pps := s.PartitionsPerSocket
-		if pps <= 0 {
-			pps = cfg.Cores
-		}
-		wl := s.Workload(n)
-		spec := engine(cfg, pps*n, window)
-		out[i], steady[i] = runFailoverPoint(cfg, spec, wl, mode, s.Obs,
-			tps*n, seed, warmup, measure, detect, !s.NoFaultWindows)
-		out[i].Sockets = n
-		out[i].ShardedLog = cfg.ShardedLog()
-		out[i].Replicas = cfg.Replicas
-		if opt.OnResult != nil {
-			opt.OnResult(Result{Point: Point{Index: i, Group: "fig-failover"}})
-		}
+		return steady[i]
 	})
 	// Overhead against the same-socket unreplicated baseline — host-side
 	// arithmetic over the finished grid, identical in any execution order.
@@ -212,20 +170,15 @@ func (s FailoverSpec) RunFailover(opt Options) ([]FailoverResult, []Result) {
 	return out, steady
 }
 
-// runFailoverPoint measures one (config, mode): a steady-state run, then —
-// for replicated modes — a faulted crash run and the replica's failover
-// boot.
-func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec, mode stats.ReplMode, obsOpt *obs.Options,
-	terminals int, seed uint64, warmup, measure sim.Duration, detect sim.Duration, windows bool) (FailoverResult, Result) {
-	res := FailoverResult{Engine: spec.Name, Workload: wlSpec.Name, Mode: mode, DigestOK: true}
+// runFailoverPoint measures one point: a steady-state run, then — for
+// replicated modes — a faulted crash run and the replica's failover boot.
+func runFailoverPoint(p Point) (FailoverResult, Result) {
+	res := FailoverResult{
+		Sockets: p.Sockets, ShardedLog: p.ShardedLog, Mode: p.Repl,
+		Engine: p.Engine.Name, Workload: p.Workload.Name, DigestOK: true,
+	}
 
 	// --- Steady state: the replication tax under normal operation.
-	p := Point{
-		Group: "fig-failover", Engine: spec, Workload: wlSpec,
-		Terminals: terminals, Seed: seed,
-		Sockets: cfg.NumSockets(), ShardedLog: cfg.ShardedLog(), Repl: mode,
-		Obs: obsOpt, Warmup: warmup, Measure: measure,
-	}
 	sr := p.Run()
 	if sr.Err != nil {
 		res.Err = sr.Err
@@ -241,100 +194,54 @@ func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 			res.LagBytesMax = rst.LagBytesMax
 		}
 	}
-	if mode == stats.ReplNone {
+	if p.Repl == stats.ReplNone {
 		return res, sr
 	}
 
-	// --- Crash phase: populate, checkpoint sharp, run under the fault
-	// plan, stop the world at the primary kill.
-	env := sim.NewEnv()
-	defer env.Close()
-	wl := wlSpec.Make()
-	eng := spec.Make(env, wl)
-	ck, ok := eng.(checkpointable)
-	if !ok {
-		res.Err = fmt.Errorf("engine %s is not checkpointable", spec.Name)
-		return res, sr
-	}
-	repl, ok := eng.(replicated)
-	if !ok || repl.Replicator() == nil {
-		res.Err = fmt.Errorf("engine %s built no replication machinery", spec.Name)
-		return res, sr
-	}
-	rs := repl.Replicator()
-	root := sim.NewRand(seed)
-	wl.Populate(eng.Load, root.Split())
-	faultR := root.Split()
-	if warmer, ok := eng.(interface{ Warm() }); ok {
-		warmer.Warm()
-	}
-	// Checkpoint sharp before any terminal exists (see runRecoveryPoint for
-	// the adaptive stepping rationale).
-	var meta core.CheckpointMeta
-	ckDone := false
-	// A replicated engine never shards itself over the kernel, so the set
-	// slice here is always single-element and this is exactly CheckpointAll.
-	env.Spawn("checkpointer", func(p *sim.Proc) {
-		meta = core.CheckpointAllSets(p, ck.TableSets(), ck.DiskManager(), ck.LogSet())
-		ckDone = true
+	// --- Crash phase under a seed-deterministic fault plan covering the
+	// measurement window: its kill is the run's stopping point and its
+	// windowed faults drive the ReplicaSet hooks.
+	var rs *wal.ReplicaSet
+	var killT sim.Time
+	c, err := crash(p, func(c *crashRun, root *sim.Rand) (sim.Time, error) {
+		repl, ok := c.eng.(replicated)
+		if !ok || repl.Replicator() == nil {
+			return 0, fmt.Errorf("engine %s built no replication machinery", p.Engine.Name)
+		}
+		rs = repl.Replicator()
+		plan := sim.NewFaultPlan(root.Split(), c.start.Add(p.Warmup), c.start.Add(p.Warmup).Add(p.Measure), rs.Replicas(), true)
+		plan.Schedule(c.env,
+			func(f sim.Fault) {
+				switch f.Kind {
+				case sim.FaultLinkLag:
+					rs.SetLagFactor(f.Factor)
+				case sim.FaultLinkPartition:
+					rs.SetLinkDown(true)
+				case sim.FaultReplicaStall:
+					rs.SetStalled(f.Replica, true)
+				}
+			},
+			func(f sim.Fault) {
+				switch f.Kind {
+				case sim.FaultLinkLag:
+					rs.SetLagFactor(1)
+				case sim.FaultLinkPartition:
+					rs.SetLinkDown(false)
+				case sim.FaultReplicaStall:
+					rs.SetStalled(f.Replica, false)
+				}
+			})
+		killT, _ = plan.KillTime()
+		return killT, nil
 	})
-	step := sim.Time(1 * sim.Millisecond)
-	for !ckDone {
-		before := env.Executed()
-		if err := env.RunUntil(env.Now() + step); err != nil {
-			res.Err = err
-			return res, sr
-		}
-		if env.Executed() == before {
-			step *= 2
-		} else {
-			step = sim.Time(1 * sim.Millisecond)
-		}
-	}
-	// The fault plan covers the measurement window; its kill is the run's
-	// stopping point and its windowed faults drive the ReplicaSet hooks.
-	startT := env.Now()
-	plan := sim.NewFaultPlan(faultR, startT.Add(warmup), startT.Add(warmup).Add(measure), rs.Replicas(), windows)
-	plan.Schedule(env,
-		func(f sim.Fault) {
-			switch f.Kind {
-			case sim.FaultLinkLag:
-				rs.SetLagFactor(f.Factor)
-			case sim.FaultLinkPartition:
-				rs.SetLinkDown(true)
-			case sim.FaultReplicaStall:
-				rs.SetStalled(f.Replica, true)
-			}
-		},
-		func(f sim.Fault) {
-			switch f.Kind {
-			case sim.FaultLinkLag:
-				rs.SetLagFactor(1)
-			case sim.FaultLinkPartition:
-				rs.SetLinkDown(false)
-			case sim.FaultReplicaStall:
-				rs.SetStalled(f.Replica, false)
-			}
-		})
-	for i := 0; i < terminals; i++ {
-		i := i
-		tr := root.Split()
-		env.Spawn(fmt.Sprintf("terminal%d", i), func(tp *sim.Proc) {
-			term := &core.Terminal{ID: i, P: tp, Core: eng.Platform().Cores[i%len(eng.Platform().Cores)], R: tr}
-			for {
-				_, logic := wl.NextTxn(term.R)
-				eng.Submit(term, logic)
-			}
-		})
-	}
-	killT, _ := plan.KillTime()
-	if err := env.RunUntil(killT); err != nil {
+	defer c.env.Close()
+	if err != nil {
 		res.Err = err
 		return res, sr
 	}
-	res.KillAt = killT.Sub(startT)
-	res.CommitsAcked = eng.Counters().Get("commits")
-	primary := ck.LogSet().Datas()
+	res.KillAt = killT.Sub(c.start)
+	res.CommitsAcked = c.eng.Counters().Get("commits")
+	primary := c.ck.LogSet().Datas()
 	replicaLogs, replicaBytes, lostTail := rs.CrashImage()
 	res.Shards = len(replicaLogs)
 	res.ReplicaBytes = replicaBytes
@@ -349,10 +256,10 @@ func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 		}
 		truncated[s] = primary[s][:len(replicaLogs[s])]
 	}
-	defs := wl.Tables()
+	cfg, defs := c.eng.Platform().Cfg, c.wl.Tables()
 
 	// --- Failover: boot the replica through measured parallel recovery.
-	trees, fst, err := core.Failover(cfg, defs, meta, ck.DiskManager(), replicaLogs, detect, true)
+	_, fst, err := core.Failover(cfg, defs, c.meta, c.ck.DiskManager(), replicaLogs, core.DefaultDetect, true)
 	if err != nil {
 		res.Err = err
 		return res, sr
@@ -364,11 +271,10 @@ func runFailoverPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 	res.RestoreSim = fst.Recovery.Restore
 	res.ReplaySim = fst.Recovery.Replay
 	res.TimeToServing = fst.TimeToServing
-	_ = trees
 
 	// Oracle: recovering the primary's shipped prefix directly must yield
 	// the same content digest the replica serves.
-	_, ofst, err := core.Failover(cfg, defs, meta, ck.DiskManager(), truncated, 0, true)
+	_, ofst, err := core.Failover(cfg, defs, c.meta, c.ck.DiskManager(), truncated, 0, true)
 	if err != nil {
 		res.Err = err
 		return res, sr

@@ -22,13 +22,13 @@ import (
 // and copy the printed digest here, noting the change in the PR.
 const goldenDigest = "41bd8e7bcf4ecc652811fc909fb8bb95cfeef155894515b7335489f51fb05164"
 
-// goldenGrid covers all three engines and all three workloads: TATP
+// goldenSpec covers all three engines and all three workloads: TATP
 // (single-partition actions), TPC-C (cross-partition fan-out, rollbacks,
 // PutFront lock-release traffic) and YCSB (scans without entity locks).
-func goldenGrid() Grid {
-	return Grid{
+func goldenSpec() Spec {
+	return Spec{
 		Group:     "golden",
-		Engines:   []EngineSpec{Conventional(), DORA(4), Bionic(4, core.AllOffloads(), 8)},
+		Engines:   Fixed(Conventional(), DORA(4), Bionic(4, core.AllOffloads(), 8)),
 		Workloads: []WorkloadSpec{smallTATP(), smallTPCC(), smallYCSB()},
 		Terminals: []int{8},
 		Seeds:     []uint64{42},
@@ -40,8 +40,7 @@ func goldenGrid() Grid {
 // TestGoldenSweepDigest proves the kernel reproduces the recorded sweep
 // results exactly, on both serial and parallel executions.
 func TestGoldenSweepDigest(t *testing.T) {
-	grid := goldenGrid()
-	points := grid.Points()
+	points := goldenSpec().Points()
 	serial := Run(points, Options{Parallel: 1})
 	for _, r := range serial {
 		if r.Err != nil {
@@ -67,8 +66,7 @@ func TestGoldenSweepDigest(t *testing.T) {
 // replication statistics, spend no replication energy, and hash without any
 // replication markers.
 func TestGoldenNoReplication(t *testing.T) {
-	g := goldenGrid()
-	p := g.Points()[0]
+	p := goldenSpec().Points()[0]
 	if p.Repl != stats.ReplNone {
 		t.Fatalf("golden point annotated with replication mode %v", p.Repl)
 	}
@@ -99,14 +97,15 @@ func TestGoldenNoReplication(t *testing.T) {
 const goldenScalingDigest = "7ae119e4b063984d1bb67c3afcf3facbc7ee88298ed78e62b4770a7e4ab05ff7"
 
 // goldenScalingSpec is the pinned multi-socket grid.
-func goldenScalingSpec() ScalingSpec {
-	return ScalingSpec{
-		Sockets:            []int{2, 4},
-		Workloads:          []WorkloadSpec{smallTATP(), smallTPCC(), smallYCSB()},
-		TerminalsPerSocket: 4,
-		Seeds:              []uint64{42},
-		Warmup:             1 * sim.Millisecond,
-		Measure:            3 * sim.Millisecond,
+func goldenScalingSpec() Spec {
+	return Spec{
+		Group:     "fig-scaling",
+		Sockets:   []int{2, 4},
+		Workloads: []WorkloadSpec{smallTATP(), smallTPCC(), smallYCSB()},
+		Terminals: []int{4},
+		Seeds:     []uint64{42},
+		Warmup:    1 * sim.Millisecond,
+		Measure:   3 * sim.Millisecond,
 	}
 }
 
@@ -145,15 +144,18 @@ func TestGoldenScalingDigest(t *testing.T) {
 const goldenHTAPDigest = "4246c08b6a2de4e97f1d07f5ccff5e9fe3c9aea2e995aaa6ae4f9104b65b2397"
 
 // goldenHTAPSpec is the pinned hybrid grid.
-func goldenHTAPSpec() HTAPSpec {
-	return HTAPSpec{
-		Sockets:            []int{1, 2, 4},
-		Workloads:          []WorkloadSpec{smallHTAPYCSB(), smallHTAPTPCC()},
-		TerminalsPerSocket: 4,
-		ShardedLog:         true,
-		Seeds:              []uint64{42},
-		Warmup:             1 * sim.Millisecond,
-		Measure:            3 * sim.Millisecond,
+func goldenHTAPSpec() Spec {
+	return Spec{
+		Group:      "fig-htap",
+		Sockets:    []int{1, 2, 4},
+		Workloads:  []WorkloadSpec{smallHTAPYCSB(), smallHTAPTPCC()},
+		Engines:    HTAPEngines(),
+		Terminals:  []int{4},
+		ShardedLog: true,
+		HTAP:       true,
+		Seeds:      []uint64{42},
+		Warmup:     1 * sim.Millisecond,
+		Measure:    3 * sim.Millisecond,
 	}
 }
 

@@ -30,47 +30,36 @@ func withObs(points []Point, o *obs.Options) []Point {
 	return out
 }
 
-// TestSpecsPropagateObs pins the options plumbing: every spec type that
-// expands to points must carry its Obs into each of them, and Point.Run
-// must hand it to the harness (witnessed by the trace and telemetry
-// artifacts coming back on the result).
+// TestSpecsPropagateObs pins the options plumbing end to end: Point.Run
+// hands a Spec point's Obs to the harness, and FailoverSpec carries its Obs
+// into every steady-state run (witnessed by the trace and telemetry
+// artifacts coming back on the result). TestPointsExpansion and
+// TestScalingPointsExpansion pin that every Spec point inherits Obs.
 func TestSpecsPropagateObs(t *testing.T) {
 	o := fullObs()
-	grid := goldenGrid()
-	grid.Obs = o
-	scaling := goldenScalingSpec()
-	scaling.Obs = o
-	htap := goldenHTAPSpec()
-	htap.Obs = o
-	for name, points := range map[string][]Point{
-		"grid":    grid.Points(),
-		"scaling": scaling.Points(),
-		"htap":    htap.Points(),
-	} {
-		if len(points) == 0 {
-			t.Fatalf("%s: no points", name)
+	spec := goldenSpec()
+	spec.Obs = o
+	_, steady := FailoverSpec{
+		Sockets: []int{1}, Modes: []stats.ReplMode{stats.ReplNone},
+		Workload: func(int) WorkloadSpec { return smallTPCC() }, TerminalsPerSocket: 4, Obs: o,
+		Warmup: 1 * sim.Millisecond, Measure: 2 * sim.Millisecond,
+	}.RunFailover(Options{Parallel: 1})
+	for name, res := range map[string]Result{"spec": spec.Points()[0].Run(), "failover": steady[0]} {
+		if res.Err != nil {
+			t.Fatalf("%s: %v", name, res.Err)
 		}
-		for _, p := range points {
-			if p.Obs != o {
-				t.Errorf("%s: point %s/%s dropped Obs", name, p.Workload.Name, p.Engine.Name)
-			}
+		if res.Point.Obs != o {
+			t.Errorf("%s: point dropped Obs", name)
 		}
-	}
-	g := goldenGrid()
-	r := g.Points()[0]
-	r.Obs = o
-	res := r.Run()
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Res.Trace == nil || len(res.Res.Trace.Merged()) == 0 {
-		t.Error("traced run returned no spans")
-	}
-	if res.Res.Metrics == nil || len(res.Res.Metrics.Samples()) == 0 {
-		t.Error("sampled run returned no telemetry")
-	}
-	if res.Res.Anatomy.Samples() == 0 {
-		t.Error("run recorded no latency anatomy")
+		if res.Res.Trace == nil || len(res.Res.Trace.Merged()) == 0 {
+			t.Errorf("%s: traced run returned no spans", name)
+		}
+		if res.Res.Metrics == nil || len(res.Res.Metrics.Samples()) == 0 {
+			t.Errorf("%s: sampled run returned no telemetry", name)
+		}
+		if res.Res.Anatomy.Samples() == 0 {
+			t.Errorf("%s: run recorded no latency anatomy", name)
+		}
 	}
 }
 
@@ -82,7 +71,7 @@ func TestSpecsPropagateObs(t *testing.T) {
 // recorder artifacts must also be non-empty, so a silently detached
 // recorder cannot pass as zero perturbation.
 func TestObsEquivalenceMatrix(t *testing.T) {
-	quick := goldenGrid()
+	quick := goldenSpec()
 	families := []struct {
 		name   string
 		points []Point

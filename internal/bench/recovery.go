@@ -14,39 +14,12 @@ import (
 	"bionicdb/internal/wal"
 )
 
-// RecoverySpec declares the fig-recovery experiment: run a workload on a
-// sharded-log machine, crash it cold at the end of the measurement window
-// (no drain, no clean shutdown — whatever the log devices hold is the crash
-// image), then boot a fresh machine and replay the shards, serially and in
-// parallel, under the cost model. The figure is recovery time and joules
-// versus socket count: N log shards replay from N devices on N sockets, so
-// parallel recovery is the durability subsystem's read-side payoff.
-type RecoverySpec struct {
-	// Sockets are the socket counts to measure (default 1, 2, 4, 8, 16).
-	Sockets []int
-	// Workload builds the (socket-scaled) workload for one point; required.
-	Workload func(sockets int) WorkloadSpec
-	// Engine builds the engine under test for one scaled config (default
-	// DORA — the software sharded log). The engine must be checkpointable.
-	Engine func(cfg *platform.Config, partitions, window int) EngineSpec
-	// ShardedLog gives the machine per-socket log devices (default in
-	// RunRecovery callers; false measures the centralized baseline).
-	ShardedLog bool
-
-	// TerminalsPerSocket is the offered load (default 32).
-	TerminalsPerSocket int
-	// PartitionsPerSocket is the DORA partition count per socket (default:
-	// cores per socket).
-	PartitionsPerSocket int
-	// Window is the bionic in-flight window (default 8).
-	Window int
-
-	Seed    uint64
-	Warmup  sim.Duration
-	Measure sim.Duration
-}
-
-// RecoveryResult is one crash/recovery measurement.
+// RecoveryResult is one crash/recovery measurement: the fig-recovery
+// experiment runs a workload on a sharded-log machine, crashes it cold at
+// the end of the measurement window, then boots a fresh machine and replays
+// the shards, serially and in parallel, under the cost model. N log shards
+// replay from N devices on N sockets, so parallel recovery is the
+// durability subsystem's read-side payoff.
 type RecoveryResult struct {
 	Sockets    int
 	Shards     int
@@ -79,80 +52,35 @@ type checkpointable interface {
 	LogSet() *wal.LogSet
 }
 
-// RunRecovery executes the spec, fanning points out across the worker pool.
-// Each point runs its crash phase and both recovery boots in private
-// environments, so parallel execution is bit-identical to serial.
-func (s RecoverySpec) RunRecovery(opt Options) []RecoveryResult {
-	sockets := s.Sockets
-	if len(sockets) == 0 {
-		sockets = DefaultScalingSockets()
-	}
-	engine := s.Engine
-	if engine == nil {
-		engine = func(cfg *platform.Config, partitions, window int) EngineSpec {
-			return DORAOn(cfg, partitions)
-		}
-	}
-	tps := s.TerminalsPerSocket
-	if tps <= 0 {
-		tps = 32
-	}
-	window := s.Window
-	if window <= 0 {
-		window = 8
-	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = core.DefaultRunConfig().Seed
-	}
-	warmup, measure := s.Warmup, s.Measure
-	if warmup <= 0 {
-		warmup = core.DefaultRunConfig().Warmup
-	}
-	if measure <= 0 {
-		measure = core.DefaultRunConfig().Measure
-	}
-
-	out := make([]RecoveryResult, len(sockets))
-	ForEach(len(sockets), opt.Parallel, func(i int) {
-		n := sockets[i]
-		cfg := platform.HC2Scaled(n)
-		cfg.LogDevPerSocket = s.ShardedLog
-		pps := s.PartitionsPerSocket
-		if pps <= 0 {
-			pps = cfg.Cores
-		}
-		wl := s.Workload(n)
-		spec := engine(cfg, pps*n, window)
-		out[i] = runRecoveryPoint(cfg, spec, wl, tps*n, seed, warmup, measure)
-		out[i].Sockets = n
-		out[i].ShardedLog = cfg.ShardedLog()
-		if opt.OnResult != nil {
-			// Recovery points are not sweep Results; observers only need
-			// progress, so report a husk carrying the point index.
-			opt.OnResult(Result{Point: Point{Index: i, Group: "fig-recovery"}})
-		}
-	})
-	return out
+// crashRun is a machine the crash harness stopped cold.
+type crashRun struct {
+	env   *sim.Env
+	eng   core.Engine
+	ck    checkpointable
+	wl    core.Workload
+	meta  core.CheckpointMeta
+	start sim.Time // the instant the terminals opened
 }
 
-// runRecoveryPoint is one crash + two recovery boots.
-func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec, terminals int, seed uint64, warmup, measure sim.Duration) RecoveryResult {
-	res := RecoveryResult{Engine: spec.Name, Workload: wlSpec.Name}
-
-	// --- Crash phase: populate, checkpoint sharp, run the window, stop cold.
-	env := sim.NewEnv()
-	defer env.Close()
-	wl := wlSpec.Make()
-	eng := spec.Make(env, wl)
-	ck, ok := eng.(checkpointable)
+// crash is the crash phase every crash experiment shares: build the
+// point's engine, populate, warm, checkpoint sharp, open p.Terminals
+// closed-loop terminals and stop the world mid-flight at the instant arm
+// returns. No drain, no Close — staged and buffered log bytes die with the
+// machine; only the stores' durable bytes survive. arm runs after the
+// checkpoint, before any terminal exists, with the point's random root, so
+// a stream it splits sits between the population and terminal streams.
+// The caller closes c.env.
+func crash(p Point, arm func(c *crashRun, root *sim.Rand) (sim.Time, error)) (*crashRun, error) {
+	c := &crashRun{env: sim.NewEnv(), wl: p.Workload.Make()}
+	c.eng = p.Engine.Make(c.env, c.wl)
+	ck, ok := c.eng.(checkpointable)
 	if !ok {
-		res.Err = fmt.Errorf("engine %s is not checkpointable", spec.Name)
-		return res
+		return c, fmt.Errorf("engine %s is not checkpointable", p.Engine.Name)
 	}
-	root := sim.NewRand(seed)
-	wl.Populate(eng.Load, root.Split())
-	if warmer, ok := eng.(interface{ Warm() }); ok {
+	c.ck = ck
+	root := sim.NewRand(p.Seed)
+	c.wl.Populate(c.eng.Load, root.Split())
+	if warmer, ok := c.eng.(interface{ Warm() }); ok {
 		warmer.Warm()
 	}
 	// Checkpoint sharp before any terminal exists. The checkpoint's
@@ -163,7 +91,6 @@ func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 	// advances the clock past the last executed event) and reset once
 	// progress resumes. Only idle daemons share the clock with the
 	// checkpointer here, so overshooting its completion instant is free.
-	var meta core.CheckpointMeta
 	ckDone := false
 	sets := ck.TableSets()
 	shardedEng := len(sets) > 1
@@ -174,74 +101,104 @@ func runRecoveryPoint(cfg *platform.Config, spec EngineSpec, wlSpec WorkloadSpec
 		// the captured spans to the (shard-0) checkpoint device from a
 		// shard-0 process.
 		var spans []int
-		meta, spans = core.CheckpointAllSetsHost(sets, ck.DiskManager(), ck.LogSet())
-		env.SpawnOn(0, "checkpointer", func(p *sim.Proc) {
+		c.meta, spans = core.CheckpointAllSetsHost(sets, ck.DiskManager(), ck.LogSet())
+		c.env.SpawnOn(0, "checkpointer", func(p *sim.Proc) {
 			for _, span := range spans {
 				ck.DiskManager().Device().Transfer(p, span)
 			}
 			ckDone = true
 		})
 	} else {
-		env.Spawn("checkpointer", func(p *sim.Proc) {
-			meta = core.CheckpointAllSets(p, sets, ck.DiskManager(), ck.LogSet())
+		c.env.Spawn("checkpointer", func(p *sim.Proc) {
+			c.meta = core.CheckpointAllSets(p, sets, ck.DiskManager(), ck.LogSet())
 			ckDone = true
 		})
 	}
 	step := sim.Time(1 * sim.Millisecond)
 	for !ckDone {
-		before := env.Executed()
-		if err := env.RunUntil(env.Now() + step); err != nil {
-			res.Err = err
-			return res
+		before := c.env.Executed()
+		if err := c.env.RunUntil(c.env.Now() + step); err != nil {
+			return c, err
 		}
-		if env.Executed() == before {
+		if c.env.Executed() == before {
 			step *= 2
 		} else {
 			step = sim.Time(1 * sim.Millisecond)
 		}
 	}
-	// Open the terminals for exactly warmup+measure, then crash: stop the
-	// world mid-flight. No drain, no Close — staged and buffered log bytes
-	// die with the machine; only the stores' durable bytes survive.
-	endT := env.Now() + sim.Time(warmup) + sim.Time(measure)
-	pl := eng.Platform()
-	for i := 0; i < terminals; i++ {
+	c.start = c.env.Now()
+	stop, err := arm(c, root)
+	if err != nil {
+		return c, err
+	}
+	pl := c.eng.Platform()
+	for i := 0; i < p.Terminals; i++ {
 		i := i
 		tr := root.Split()
 		tcore := pl.Cores[i%len(pl.Cores)]
 		body := func(tp *sim.Proc) {
 			term := &core.Terminal{ID: i, P: tp, Core: tcore, R: tr}
 			for {
-				_, logic := wl.NextTxn(term.R)
-				eng.Submit(term, logic)
+				_, logic := c.wl.NextTxn(term.R)
+				c.eng.Submit(term, logic)
 			}
 		}
 		if shardedEng {
-			env.SpawnOn(pl.ShardOfCore(tcore), fmt.Sprintf("terminal%d", i), body)
+			c.env.SpawnOn(pl.ShardOfCore(tcore), fmt.Sprintf("terminal%d", i), body)
 		} else {
-			env.Spawn(fmt.Sprintf("terminal%d", i), body)
+			c.env.Spawn(fmt.Sprintf("terminal%d", i), body)
 		}
 	}
-	if err := env.RunUntil(endT); err != nil {
+	return c, c.env.RunUntil(stop)
+}
+
+// RunRecovery runs every point of the spec as a crash experiment; see
+// RunRecovery.
+func (s Spec) RunRecovery(opt Options) []RecoveryResult { return RunRecovery(s.Points(), opt) }
+
+// RunRecovery runs each point as a crash experiment — the crash at the end
+// of its measurement window, then both recovery boots — fanning points out
+// across the worker pool. Every point runs in private environments, so
+// parallel execution is bit-identical to serial. The engines must be
+// checkpointable; Obs is ignored (the crash phase has no window to trace).
+func RunRecovery(points []Point, opt Options) []RecoveryResult {
+	out := make([]RecoveryResult, len(points))
+	opt.each(points, func(i int, p Point) Result {
+		out[i] = runRecoveryPoint(p)
+		return Result{Point: p, Err: out[i].Err}
+	})
+	return out
+}
+
+// runRecoveryPoint is one crash + two recovery boots.
+func runRecoveryPoint(p Point) RecoveryResult {
+	res := RecoveryResult{Engine: p.Engine.Name, Workload: p.Workload.Name}
+	c, err := crash(p, func(c *crashRun, _ *sim.Rand) (sim.Time, error) {
+		return c.start.Add(p.Warmup).Add(p.Measure), nil
+	})
+	defer c.env.Close()
+	cfg := c.eng.Platform().Cfg
+	res.Sockets, res.ShardedLog = cfg.NumSockets(), cfg.ShardedLog()
+	if err != nil {
 		res.Err = err
 		return res
 	}
-	res.Commits = eng.Counters().Get("commits")
-	logs := ck.LogSet().Datas()
+	res.Commits = c.eng.Counters().Get("commits")
+	logs := c.ck.LogSet().Datas()
 	res.Shards = len(logs)
-	defs := wl.Tables()
+	defs := c.wl.Tables()
 
 	// --- Recovery boots: serial then parallel, each on a fresh machine.
 	boot := func(parallel bool) (core.RecoveryStats, *platform.Platform, []map[uint16]*btree.Tree, error) {
 		env2 := sim.NewEnv()
 		defer env2.Close()
 		pl2 := platform.New(env2, cfg)
-		dm2 := ck.DiskManager().Rebind(pl2.Disk)
+		dm2 := c.ck.DiskManager().Rebind(pl2.Disk)
 		var st core.RecoveryStats
 		var recovered []map[uint16]*btree.Tree
 		var err error
 		env2.Spawn("recovery", func(p *sim.Proc) {
-			recovered, st, err = core.RecoverMeasured(p, pl2, defs, meta, dm2, logs, parallel)
+			recovered, st, err = core.RecoverMeasured(p, pl2, defs, c.meta, dm2, logs, parallel)
 		})
 		if runErr := env2.Run(); runErr != nil {
 			return st, pl2, nil, runErr

@@ -3,142 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"bionicdb/internal/core"
-	"bionicdb/internal/obs"
-	"bionicdb/internal/platform"
-	"bionicdb/internal/sim"
 	"bionicdb/internal/stats"
 )
-
-// ScalingSpec declares the fig-scaling sweep: the three engines on every
-// workload at every socket count, with offered load (terminals) and DORA
-// partition count scaling with the machine. Zero fields get defaults, so
-// only the axes under study need declaring.
-//
-// This is weak scaling — load grows with the machine — so a perfectly
-// scalable engine shows throughput proportional to sockets at flat
-// joules/txn, while a centralized engine flattens as the interconnect and
-// its shared structures saturate.
-type ScalingSpec struct {
-	// Sockets are the socket counts to measure (default 1, 2, 4, 8, 16).
-	Sockets []int
-	// Workloads is the workload axis (required).
-	Workloads []WorkloadSpec
-	// Engines optionally replaces the default engine axis. Each entry is
-	// instantiated per socket count via its On constructor.
-	Engines []ScalingEngine
-
-	// TerminalsPerSocket is the closed-loop clients per socket (default 32).
-	TerminalsPerSocket int
-	// PartitionsPerSocket is the DORA/bionic partitions per socket
-	// (default: the config's cores per socket, one partition per core).
-	PartitionsPerSocket int
-	// Window is the bionic in-flight window (default 8).
-	Window int
-	// ShardedLog runs every point on a machine with per-socket log devices
-	// (the sharded durability subsystem). Single-socket points are
-	// structurally unaffected — the flag only bites at 2+ sockets — so the
-	// 1-socket row still anchors the speedup column.
-	ShardedLog bool
-	// Obs attaches the flight recorder to every point (see
-	// core.RunConfig.Obs); results stay bit-identical.
-	Obs *obs.Options
-
-	Seeds   []uint64
-	Warmup  sim.Duration
-	Measure sim.Duration
-	Drain   sim.Duration
-}
-
-// ScalingEngine builds one engine spec for a given scaled platform config
-// and total partition count.
-type ScalingEngine struct {
-	Name string
-	On   func(cfg *platform.Config, partitions, window int) EngineSpec
-}
-
-// DefaultScalingEngines returns the standard engine axis: conventional,
-// DORA and the fully-offloaded bionic engine.
-func DefaultScalingEngines() []ScalingEngine {
-	return []ScalingEngine{
-		{Name: "conventional", On: func(cfg *platform.Config, partitions, window int) EngineSpec {
-			return ConventionalOn(cfg)
-		}},
-		{Name: "dora", On: func(cfg *platform.Config, partitions, window int) EngineSpec {
-			return DORAOn(cfg, partitions)
-		}},
-		{Name: "bionic", On: func(cfg *platform.Config, partitions, window int) EngineSpec {
-			return BionicOn(cfg, partitions, core.AllOffloads(), window)
-		}},
-	}
-}
-
-// DefaultScalingSockets is the 1 -> 16 socket axis of the fig-scaling
-// figure.
-func DefaultScalingSockets() []int { return []int{1, 2, 4, 8, 16} }
-
-// Points expands the spec into grid points in deterministic order:
-// workload outermost, then socket count, engine, seed — so each
-// workload's scaling curves print together, engine by engine.
-func (s ScalingSpec) Points() []Point {
-	sockets := s.Sockets
-	if len(sockets) == 0 {
-		sockets = DefaultScalingSockets()
-	}
-	engines := s.Engines
-	if len(engines) == 0 {
-		engines = DefaultScalingEngines()
-	}
-	tps := s.TerminalsPerSocket
-	if tps <= 0 {
-		tps = 32
-	}
-	window := s.Window
-	if window <= 0 {
-		window = 8
-	}
-	seeds := s.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{core.DefaultRunConfig().Seed}
-	}
-	warmup, measure := s.Warmup, s.Measure
-	if warmup <= 0 {
-		warmup = core.DefaultRunConfig().Warmup
-	}
-	if measure <= 0 {
-		measure = core.DefaultRunConfig().Measure
-	}
-
-	var out []Point
-	for _, wl := range s.Workloads {
-		for _, n := range sockets {
-			cfg := platform.HC2Scaled(n)
-			cfg.LogDevPerSocket = s.ShardedLog
-			pps := s.PartitionsPerSocket
-			if pps <= 0 {
-				pps = cfg.Cores
-			}
-			partitions := pps * n
-			for _, eng := range engines {
-				spec := eng.On(cfg, partitions, window)
-				spec.Name = eng.Name // rows name the curve ("bionic"), not the offload list
-				for _, seed := range seeds {
-					out = append(out, Point{
-						Index: len(out), Group: "fig-scaling",
-						Engine: spec, Workload: wl,
-						Terminals: tps * n, Seed: seed, Sockets: n,
-						ShardedLog: cfg.ShardedLog(), Obs: s.Obs,
-						Warmup: warmup, Measure: measure, Drain: s.Drain,
-					})
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Run executes the scaling sweep; see Run.
-func (s ScalingSpec) Run(opt Options) []Result { return Run(s.Points(), opt) }
 
 // logLabel names a point's durability layout in tables.
 func logLabel(sharded bool) string {

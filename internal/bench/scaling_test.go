@@ -8,56 +8,16 @@ import (
 	"bionicdb/internal/sim"
 )
 
-// TestScalingPointsExpansion checks the sweep's shape: ordering, load and
-// partition scaling, and the socket annotation on every point.
-func TestScalingPointsExpansion(t *testing.T) {
-	spec := ScalingSpec{
-		Sockets:            []int{1, 2, 4},
-		Workloads:          []WorkloadSpec{smallTATP(), smallYCSB()},
-		TerminalsPerSocket: 8,
-		Seeds:              []uint64{1, 2},
-	}
-	points := spec.Points()
-	if want := 2 * 3 * 3 * 2; len(points) != want { // workloads x sockets x engines x seeds
-		t.Fatalf("expected %d points, got %d", want, len(points))
-	}
-	// Workload outermost, sockets next, then the engine axis.
-	if points[0].Workload.Name != "tatp" || points[len(points)/2].Workload.Name != "ycsb" {
-		t.Errorf("unexpected workload order: %s, %s", points[0].Workload.Name, points[len(points)/2].Workload.Name)
-	}
-	for i, p := range points {
-		if p.Index != i {
-			t.Errorf("point %d has index %d", i, p.Index)
-		}
-		if p.Group != "fig-scaling" {
-			t.Errorf("point %d group = %q", i, p.Group)
-		}
-		if p.Sockets == 0 {
-			t.Errorf("point %d has no socket annotation", i)
-		}
-		if p.Terminals != 8*p.Sockets {
-			t.Errorf("point %d: %d terminals at %d sockets, want load scaled with the machine", i, p.Terminals, p.Sockets)
-		}
-	}
-	// First socket block is 1, engine order conventional/dora/bionic.
-	if points[0].Sockets != 1 || points[0].Engine.Name != "conventional" {
-		t.Errorf("first point: sockets=%d engine=%s", points[0].Sockets, points[0].Engine.Name)
-	}
-	if points[3*2].Sockets != 2 { // 3 engines x 2 seeds per socket block
-		t.Errorf("second socket block starts with sockets=%d, want 2", points[3*2].Sockets)
-	}
-}
-
 // TestScalingParallelMatchesSerial extends the subsystem's core guarantee
 // to multi-socket points.
 func TestScalingParallelMatchesSerial(t *testing.T) {
-	spec := ScalingSpec{
-		Sockets:            []int{1, 2},
-		Workloads:          []WorkloadSpec{smallYCSB()},
-		TerminalsPerSocket: 4,
-		Seeds:              []uint64{7},
-		Warmup:             1 * sim.Millisecond,
-		Measure:            2 * sim.Millisecond,
+	spec := Spec{
+		Sockets:   []int{1, 2},
+		Workloads: []WorkloadSpec{smallYCSB()},
+		Terminals: []int{4},
+		Seeds:     []uint64{7},
+		Warmup:    1 * sim.Millisecond,
+		Measure:   2 * sim.Millisecond,
 	}
 	points := spec.Points()
 	serial := Run(points, Options{Parallel: 1})
@@ -71,14 +31,14 @@ func TestScalingParallelMatchesSerial(t *testing.T) {
 // socket counts, reports interconnect energy on multi-socket points, and
 // that the scaling table renders a row per point.
 func TestScalingJSONCarriesSockets(t *testing.T) {
-	spec := ScalingSpec{
-		Sockets:            []int{1, 2},
-		Workloads:          []WorkloadSpec{smallTATP()},
-		Engines:            DefaultScalingEngines()[1:2], // dora only
-		TerminalsPerSocket: 4,
-		Seeds:              []uint64{3},
-		Warmup:             1 * sim.Millisecond,
-		Measure:            2 * sim.Millisecond,
+	spec := Spec{
+		Sockets:   []int{1, 2},
+		Workloads: []WorkloadSpec{smallTATP()},
+		Engines:   DefaultScalingEngines()[1:2], // dora only
+		Terminals: []int{4},
+		Seeds:     []uint64{3},
+		Warmup:    1 * sim.Millisecond,
+		Measure:   2 * sim.Millisecond,
 	}
 	results := spec.Run(Options{Parallel: 2})
 	for _, r := range results {
@@ -130,14 +90,14 @@ func TestScalingJSONCarriesSockets(t *testing.T) {
 // simulated machine is deterministic, so this is a stable property, not a
 // flaky performance assertion).
 func TestScalingThroughputGrows(t *testing.T) {
-	spec := ScalingSpec{
-		Sockets:            []int{1, 4},
-		Workloads:          []WorkloadSpec{smallTATP()},
-		Engines:            DefaultScalingEngines()[1:2], // dora
-		TerminalsPerSocket: 8,
-		Seeds:              []uint64{42},
-		Warmup:             1 * sim.Millisecond,
-		Measure:            4 * sim.Millisecond,
+	spec := Spec{
+		Sockets:   []int{1, 4},
+		Workloads: []WorkloadSpec{smallTATP()},
+		Engines:   DefaultScalingEngines()[1:2], // dora
+		Terminals: []int{8},
+		Seeds:     []uint64{42},
+		Warmup:    1 * sim.Millisecond,
+		Measure:   4 * sim.Millisecond,
 	}
 	results := spec.Run(Options{Parallel: 2})
 	for _, r := range results {
@@ -157,16 +117,16 @@ func TestScalingThroughputGrows(t *testing.T) {
 // two layouts apart, and the sharded engines actually beat their
 // centralized selves where the log is the wall.
 func TestScalingShardedLogAxis(t *testing.T) {
-	mk := func(sharded bool) ScalingSpec {
-		return ScalingSpec{
-			Sockets:            []int{1, 2},
-			Workloads:          []WorkloadSpec{smallYCSB()},
-			Engines:            DefaultScalingEngines()[1:2], // dora
-			TerminalsPerSocket: 4,
-			Seeds:              []uint64{7},
-			Warmup:             1 * sim.Millisecond,
-			Measure:            2 * sim.Millisecond,
-			ShardedLog:         sharded,
+	mk := func(sharded bool) Spec {
+		return Spec{
+			Sockets:    []int{1, 2},
+			Workloads:  []WorkloadSpec{smallYCSB()},
+			Engines:    DefaultScalingEngines()[1:2], // dora
+			Terminals:  []int{4},
+			Seeds:      []uint64{7},
+			Warmup:     1 * sim.Millisecond,
+			Measure:    2 * sim.Millisecond,
+			ShardedLog: sharded,
 		}
 	}
 	central := mk(false).Points()
@@ -245,14 +205,15 @@ func TestScalingShardedLogAxis(t *testing.T) {
 // (the point itself cross-checks serial vs parallel replay content) and
 // report a sane shape.
 func TestRecoverySweepSmall(t *testing.T) {
-	spec := RecoverySpec{
-		Sockets:            []int{1, 2},
-		Workload:           func(n int) WorkloadSpec { return smallYCSB() },
-		ShardedLog:         true,
-		TerminalsPerSocket: 4,
-		Seed:               42,
-		Warmup:             1 * sim.Millisecond,
-		Measure:            3 * sim.Millisecond,
+	spec := Spec{
+		Sockets:    []int{1, 2},
+		Workloads:  []WorkloadSpec{smallYCSB()},
+		Engines:    DefaultScalingEngines()[1:2], // dora
+		ShardedLog: true,
+		Terminals:  []int{4},
+		Seeds:      []uint64{42},
+		Warmup:     1 * sim.Millisecond,
+		Measure:    3 * sim.Millisecond,
 	}
 	results := spec.RunRecovery(Options{Parallel: 2})
 	if len(results) != 2 {
